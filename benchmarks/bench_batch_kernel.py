@@ -1,27 +1,27 @@
-"""E-BATCHKERNEL -- the batch placement arena vs per-stream columnar.
+"""E-BATCHKERNEL -- batch placement vs per-stream columnar.
 
 A beam round hands the cost model dozens of sibling candidates whose
 straight-line streams share long prefixes (a transformation touches one
 loop; everything before it re-translates identically).  The per-stream
-fused kernel re-drops every shared prefix from scratch; the arena
-(:mod:`repro.cost.arena`) sorts the batch into prefix-adjacency and
-forks each stream from a bin-state snapshot of its neighbour's shared
-prefix.  This bench answers two questions:
+fused kernel re-drops every shared prefix from scratch;
+:func:`repro.cost.arena.place_batch` sorts the batch into
+prefix-adjacency and forks each stream from a bin-state snapshot of its
+neighbour's shared prefix.  This bench answers two questions:
 
 * is it *correct*: a differential oracle pushes randomized sibling
-  batches on every preset machine through the arena and the legacy
-  ``BinSet.place`` loop and compares cycles, per-op times/completions,
-  and block summaries -- under both the numpy prefix lowering and the
-  pure-``array`` fallback;
+  batches on every preset machine through ``place_batch`` and the
+  legacy ``BinSet.place`` loop and compares cycles, per-op
+  times/completions, and block summaries;
 * is it *fast*: a 64-candidate beam-round batch (~200-instruction
-  streams, ~150 shared prefix), timed as arena ``place_batch`` vs one
-  per-stream fused ``_place_uncached`` pass.  Targets: >= 2x with
-  numpy, >= 1.3x on the pure-python fallback.
+  streams, ~150 shared prefix), timed as ``place_batch`` vs one
+  per-stream fused ``_place_uncached`` pass.  Target: >= 1.3x.
 
 Compilation and digests are precomputed for both sides and the memo is
 disabled, so the timed region is placement work only -- the speedup is
-prefix sharing, not cache hits.  Besides ``E-BATCHKERNEL.txt`` this
-writes ``benchmarks/results/BENCH_BATCHKERNEL.json``, which the
+prefix sharing within the batch, not cache hits.  ``place_batch`` keeps
+no state across calls, so every timed rep places a fresh batch, exactly
+as a real caller does.  Besides ``E-BATCHKERNEL.txt`` this writes
+``benchmarks/results/BENCH_BATCHKERNEL.json``, which the
 ``batch-kernel-perf`` CI job gates on.
 """
 
@@ -30,12 +30,9 @@ import random
 import time
 
 from repro.cost import (
-    HAVE_NUMPY,
-    get_arena,
-    reset_arenas,
+    place_batch,
     reset_columnar_cache,
     reset_placement_cache,
-    set_arena_numpy,
 )
 from repro.cost.columnar import compile_stream
 from repro.cost.placement import _place_uncached
@@ -55,8 +52,8 @@ CANDIDATES = 64
 STREAM_SIZE = 200
 PREFIX_LEN = 150
 
-#: Both prefix-machinery lowerings; numpy only when installed.
-MODES = ("fallback",) + (("numpy",) if HAVE_NUMPY else ())
+#: Minimum batch-over-per-stream speedup on the headline batch.
+SPEEDUP_FLOOR = 1.3
 
 
 def _placeable_ops(machine):
@@ -85,55 +82,43 @@ def _sibling_batch(rng, names, candidates, size, prefix_len):
             for _ in range(candidates)]
 
 
-def _use_mode(mode):
-    return set_arena_numpy(mode == "numpy")
-
-
 def _differential(trials, seed=20260808):
-    """Arena batches vs the legacy oracle, both lowerings; mismatches raise."""
+    """Batches vs the legacy oracle on every machine; mismatches raise."""
     rng = random.Random(seed)
     machines = [factory() for factory in MACHINES]
-    per_machine = max(1, trials // (len(machines) * len(MODES)))
+    per_machine = max(1, trials // len(machines))
     checked = 0
-    for mode in MODES:
-        previous = _use_mode(mode)
-        try:
-            for machine in machines:
-                names = _placeable_ops(machine)
-                for _ in range(per_machine):
-                    reset_arenas()
-                    batch = _sibling_batch(
-                        rng, names,
-                        candidates=rng.randint(2, 8),
-                        size=rng.randint(8, 48),
-                        prefix_len=rng.randint(0, 32))
-                    # A couple of exact duplicates exercise the dedup lane.
-                    batch.extend(rng.sample(batch, k=min(2, len(batch))))
-                    focus = rng.choice([2, 8, 64])
-                    arena = get_arena(machine, focus)
-                    results = arena.place_batch(batch, use_memo=False)
-                    for instrs, placed in zip(batch, results):
-                        legacy = _place_uncached(
-                            machine, instrs, focus, None, "legacy")
-                        assert placed.cycles == legacy.cycles, machine.name
-                        assert [(o.time, o.completion) for o in placed.ops] \
-                            == [(o.time, o.completion) for o in legacy.ops], \
-                            machine.name
-                        assert placed.block == legacy.block, machine.name
-                        checked += 1
-        finally:
-            set_arena_numpy(previous)
+    for machine in machines:
+        names = _placeable_ops(machine)
+        for _ in range(per_machine):
+            batch = _sibling_batch(
+                rng, names,
+                candidates=rng.randint(2, 8),
+                size=rng.randint(8, 48),
+                prefix_len=rng.randint(0, 32))
+            # A couple of exact duplicates exercise the dedup lane.
+            batch.extend(rng.sample(batch, k=min(2, len(batch))))
+            focus = rng.choice([2, 8, 64])
+            results = place_batch(machine, batch, focus, use_memo=False)
+            for instrs, placed in zip(batch, results):
+                legacy = _place_uncached(
+                    machine, instrs, focus, None, "legacy")
+                assert placed.cycles == legacy.cycles, machine.name
+                assert [(o.time, o.completion) for o in placed.ops] \
+                    == [(o.time, o.completion) for o in legacy.ops], \
+                    machine.name
+                assert placed.block == legacy.block, machine.name
+                checked += 1
     return checked
 
 
 def _throughput(candidates, size, prefix_len, reps, seed=7, rounds=3):
-    """Per-mode ``(baseline s, arena s)`` for ``reps`` passes over a batch.
+    """``(baseline s, batch s)`` for ``reps`` passes over one batch.
 
     Streams are compiled (and digested) up front so both sides time
-    pure placement.  The arena runs with ``use_memo=False`` and fresh
-    pools per round start -- its advantage must come from within-batch
-    prefix sharing, not from remembering a previous rep.  Rounds
-    interleave baseline and arena so scheduler noise hits both; the
+    pure placement.  ``place_batch`` runs with ``use_memo=False``, so
+    its advantage comes from within-batch prefix sharing alone.  Rounds
+    interleave baseline and batch so scheduler noise hits both; the
     min is the honest figure.
     """
     machine = power_machine()
@@ -149,63 +134,42 @@ def _throughput(candidates, size, prefix_len, reps, seed=7, rounds=3):
             _place_uncached(machine, stream.instrs, FOCUS_SPAN, None,
                             "fused", stream, stream.digest)
 
-    def run_arena():
-        get_arena(machine, FOCUS_SPAN).place_batch(compiled, use_memo=False)
+    def run_batch():
+        place_batch(machine, compiled, FOCUS_SPAN, use_memo=False)
 
-    out = {}
-    for mode in MODES:
-        previous = _use_mode(mode)
-        try:
-            reset_arenas()
-            run_baseline()                      # warm compiled-op interning
-            run_arena()                         # warm the token cache
-            wall = {"baseline": None, "arena": None}
-            for _ in range(rounds):
-                for label, fn in (("baseline", run_baseline),
-                                  ("arena", run_arena)):
-                    t0 = time.perf_counter()
-                    for _ in range(reps):
-                        fn()
-                    elapsed = time.perf_counter() - t0
-                    if wall[label] is None or elapsed < wall[label]:
-                        wall[label] = elapsed
-            out[mode] = (wall["baseline"], wall["arena"])
-        finally:
-            set_arena_numpy(previous)
-    return out
+    run_baseline()                      # warm compiled-op interning
+    wall = {"baseline": None, "batch": None}
+    for _ in range(rounds):
+        for label, fn in (("baseline", run_baseline), ("batch", run_batch)):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                fn()
+            elapsed = time.perf_counter() - t0
+            if wall[label] is None or elapsed < wall[label]:
+                wall[label] = elapsed
+    return wall["baseline"], wall["batch"]
 
 
 def _batch_rows(trials, reps):
     checked = _differential(trials)
-    walls = _throughput(CANDIDATES, STREAM_SIZE, PREFIX_LEN, reps)
+    base_s, batch_s = _throughput(CANDIDATES, STREAM_SIZE, PREFIX_LEN, reps)
     ops = CANDIDATES * STREAM_SIZE * reps
-    rows = []
+    speedup = base_s / batch_s
+    rows = [(f"{base_s:.3f}s", f"{batch_s:.3f}s", f"{ops / base_s:,.0f}",
+             f"{ops / batch_s:,.0f}", f"{speedup:.2f}x")]
     report = {"differential_trials": checked,
+              "speedup": speedup,
               "candidates": CANDIDATES, "stream_size": STREAM_SIZE,
-              "prefix_len": PREFIX_LEN, "modes": {}}
-    for mode in MODES:
-        base_s, arena_s = walls[mode]
-        speedup = base_s / arena_s
-        rows.append((
-            mode, f"{base_s:.3f}s", f"{arena_s:.3f}s",
-            f"{ops / base_s:,.0f}", f"{ops / arena_s:,.0f}",
-            f"{speedup:.2f}x",
-        ))
-        report["modes"][mode] = {
-            "baseline_seconds": base_s,
-            "arena_seconds": arena_s,
-            "baseline_ops_per_s": ops / base_s,
-            "arena_ops_per_s": ops / arena_s,
-            "speedup": speedup,
-        }
-    report["fallback_speedup"] = report["modes"]["fallback"]["speedup"]
-    report["numpy_speedup"] = (
-        report["modes"]["numpy"]["speedup"] if HAVE_NUMPY else None)
+              "prefix_len": PREFIX_LEN,
+              "baseline_seconds": base_s,
+              "batch_seconds": batch_s,
+              "baseline_ops_per_s": ops / base_s,
+              "batch_ops_per_s": ops / batch_s}
     notes = (f"{CANDIDATES}-candidate beam-round batch, "
              f"{STREAM_SIZE}-instruction streams, {PREFIX_LEN} shared "
-             f"prefix; baseline = per-stream fused kernel; differential "
-             f"oracle: {checked} placements across {len(MACHINES)} machines "
-             f"and {len(MODES)} lowerings; focus span {FOCUS_SPAN}")
+             f"prefix, a fresh batch every rep; baseline = per-stream fused "
+             f"kernel; differential oracle: {checked} placements across "
+             f"{len(MACHINES)} machines; focus span {FOCUS_SPAN}")
     return rows, notes, report
 
 
@@ -213,8 +177,8 @@ def _emit(rows, notes, report, quick):
     report["quick"] = quick
     emit_table(
         "E-BATCHKERNEL",
-        "Batch placement arena vs per-stream columnar kernel",
-        ["mode", "per-stream", "arena", "per-stream ops/s", "arena ops/s",
+        "Batch placement vs per-stream columnar kernel",
+        ["per-stream", "batch", "per-stream ops/s", "batch ops/s",
          "speedup"],
         rows, notes=notes,
     )
@@ -224,23 +188,20 @@ def _emit(rows, notes, report, quick):
     return out
 
 
-def _check_floors(report):
-    failures = []
-    if report["fallback_speedup"] < 1.3:
-        failures.append(f"fallback {report['fallback_speedup']:.2f}x < 1.3x")
-    if HAVE_NUMPY and report["numpy_speedup"] < 2.0:
-        failures.append(f"numpy {report['numpy_speedup']:.2f}x < 2.0x")
-    return failures
+def _check_floor(report):
+    if report["speedup"] < SPEEDUP_FLOOR:
+        return f"{report['speedup']:.2f}x < {SPEEDUP_FLOOR}x"
+    return None
 
 
-def test_arena_matches_and_beats_per_stream(benchmark):
+def test_batch_matches_and_beats_per_stream(benchmark):
     rows, notes, report = benchmark.pedantic(
         lambda: _batch_rows(trials=240, reps=8),
         rounds=1, iterations=1,
     )
     _emit(rows, notes, report, quick=False)
     assert report["differential_trials"] >= 200
-    assert not _check_floors(report), report
+    assert not _check_floor(report), report
 
 
 def main(argv=None):
@@ -250,22 +211,19 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description="E-BATCHKERNEL gate")
     parser.add_argument("--quick", action="store_true",
                         help="smaller differential and fewer reps; the "
-                             "speedup floors stay the same")
+                             "speedup floor stays the same")
     args = parser.parse_args(argv)
     if args.quick:
         rows, notes, report = _batch_rows(trials=80, reps=3)
     else:
         rows, notes, report = _batch_rows(trials=240, reps=8)
     out = _emit(rows, notes, report, quick=args.quick)
-    failures = _check_floors(report)
-    if failures:
-        print("FAIL: " + "; ".join(failures))
+    failure = _check_floor(report)
+    if failure:
+        print(f"FAIL: {failure}")
         return 1
-    numpy_part = (f"{report['numpy_speedup']:.2f}x numpy / "
-                  if HAVE_NUMPY else "")
     print(f"batch kernel ok: {report['differential_trials']} differential "
-          f"placements, {numpy_part}"
-          f"{report['fallback_speedup']:.2f}x fallback on a "
+          f"placements, {report['speedup']:.2f}x on a fresh "
           f"{CANDIDATES}x{STREAM_SIZE} batch ({out})")
     return 0
 

@@ -92,10 +92,6 @@ def simulate_loop(
         last_index: int | None = None
         for instr in iterative:
             deps = [local[d] for d in instr.deps if d in local]
-            if carried_latency and prev_anchor is not None and not deps:
-                # The recurrence forces the new iteration's chain head to
-                # wait for the previous accumulation.
-                pass
             copied = merged.append(instr.atomic, tuple(deps), tag=instr.tag)
             local[instr.index] = copied.index
             last_index = copied.index

@@ -644,9 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate-store", metavar="FILE", default=None,
                    help="surrogate model artifact for --fidelity fast/auto")
     p.add_argument("--kernel", default=None,
-                   choices=("fused", "legacy", "arena"),
+                   choices=("fused", "legacy"),
                    help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); all three are bit-identical")
+                        "or fused); both are bit-identical")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",
@@ -659,9 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", default="power", choices=machine_names())
     p.add_argument("--domain", help="bounds, e.g. n=1:1000")
     p.add_argument("--kernel", default=None,
-                   choices=("fused", "legacy", "arena"),
+                   choices=("fused", "legacy"),
                    help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); all three are bit-identical")
+                        "or fused); both are bit-identical")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",

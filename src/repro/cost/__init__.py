@@ -5,17 +5,7 @@ with coverable/noncoverable costs, the signed-block slot data
 structure, cost-block shapes, and inter-block overlap estimation.
 """
 
-from .arena import (
-    ARENA_POOL_LIMIT,
-    HAVE_NUMPY,
-    PlacementArena,
-    arena_cache_stats,
-    arena_numpy_enabled,
-    get_arena,
-    place_batch,
-    reset_arenas,
-    set_arena_numpy,
-)
+from .arena import arena_cache_stats, place_batch, reset_arenas
 from .bins import BinSet, Placement
 from .columnar import (
     COLUMNAR_CACHE_LIMIT,
@@ -44,16 +34,14 @@ from .placement import (
 from .slots import SlotArray
 
 __all__ = [
-    "ARENA_POOL_LIMIT", "BinSet", "BlockCost", "COLUMNAR_CACHE_LIMIT",
+    "BinSet", "BlockCost", "COLUMNAR_CACHE_LIMIT",
     "CompiledStream", "CostBlock", "DEFAULT_FOCUS_SPAN", "DEFAULT_SPAN",
-    "EXHAUSTIVE_SPAN", "FAST_SPAN", "HAVE_NUMPY", "PLACEMENT_CACHE_LIMIT",
-    "PlacedBlock", "PlacedOp", "Placement", "PlacementArena", "SlotArray",
-    "StraightLineEstimator", "StreamSummary",
-    "arena_cache_stats", "arena_numpy_enabled",
+    "EXHAUSTIVE_SPAN", "FAST_SPAN", "PLACEMENT_CACHE_LIMIT",
+    "PlacedBlock", "PlacedOp", "Placement", "SlotArray",
+    "StraightLineEstimator", "StreamSummary", "arena_cache_stats",
     "columnar_cache_stats", "combined_cycles", "compile_stream",
-    "get_arena", "max_overlap", "place_batch", "place_stream",
+    "max_overlap", "place_batch", "place_stream",
     "placement_cache_stats", "placement_kernel", "recommended_span",
     "reset_arenas", "reset_columnar_cache", "reset_placement_cache",
-    "set_arena_numpy", "set_placement_kernel", "steady_state_cycles",
-    "stream_digest",
+    "set_placement_kernel", "steady_state_cycles", "stream_digest",
 ]

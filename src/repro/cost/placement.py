@@ -11,23 +11,21 @@ focus span is an adjustable parameter, thus allowing more flexible
 allocation of computing resources based on accuracy and efficiency
 considerations."
 
-Three implementations coexist:
+Two implementations coexist:
 
 * the **fused columnar kernel** (:mod:`repro.cost.columnar`, default):
   precompiled per-machine op costs + flat stream columns + a lockstep
   multi-bin search;
-* the **batch arena** (``kernel="arena"``, :mod:`repro.cost.arena`):
-  the fused kernel fronted by a per-(machine, focus span) arena that
-  dedups identical streams and resumes sibling streams from shared
-  prefix snapshots -- the right default when many near-identical
-  streams arrive together (beam rounds, service batches);
 * the **legacy path** (``kernel="legacy"``): the original
   per-instruction ``BinSet.place`` loop, kept as the readable reference
   implementation and differential oracle.
 
-All three produce bit-identical :class:`PlacedBlock` results (cycles,
-op times, pipe choices); ``REPRO_PLACEMENT_KERNEL=legacy|arena`` flips
-the default for A/B runs.
+Both produce bit-identical :class:`PlacedBlock` results (cycles, op
+times, pipe choices); ``REPRO_PLACEMENT_KERNEL=legacy`` flips the
+default to the oracle.  Many near-identical streams placed together
+(beam rounds, sweep pre-warms) can instead go through
+:func:`repro.cost.arena.place_batch`, which runs the fused kernel's
+drop loop with prefix sharing across the batch.
 """
 
 from __future__ import annotations
@@ -148,7 +146,7 @@ class PlacedBlock:
 # ----------------------------------------------------------------------
 # Kernel selection
 
-_KERNELS = ("fused", "legacy", "arena")
+_KERNELS = ("fused", "legacy")
 _kernel = os.environ.get("REPRO_PLACEMENT_KERNEL", "fused")
 if _kernel not in _KERNELS:
     _kernel = "fused"
@@ -160,8 +158,7 @@ def placement_kernel() -> str:
 
 
 def set_placement_kernel(name: str) -> str:
-    """Set the default kernel ("fused", "legacy", or "arena"); returns
-    the old one."""
+    """Set the default kernel ("fused" or "legacy"); returns the old one."""
     global _kernel
     if name not in _KERNELS:
         raise ValueError(f"unknown placement kernel {name!r}; "
@@ -228,7 +225,7 @@ def reset_placement_cache() -> None:
 
 def _memo_probe(fingerprint: str, digest: str,
                 focus_span: int) -> PlacedBlock | None:
-    """Memo read for the arena's batch path; counts a hit or a miss."""
+    """Memo read for batch placement; counts a hit or a miss."""
     global _cache_hits, _cache_misses
     key = (fingerprint, digest, focus_span)
     with _cache_lock:
@@ -243,7 +240,7 @@ def _memo_probe(fingerprint: str, digest: str,
 
 def _memo_store(fingerprint: str, digest: str, focus_span: int,
                 placed: PlacedBlock) -> None:
-    """Memo write for the arena's batch path (same LRU bound)."""
+    """Memo write for batch placement (same LRU bound)."""
     global _cache_evictions
     key = (fingerprint, digest, focus_span)
     with _cache_lock:
@@ -358,23 +355,8 @@ def _place_uncached(
     compiled: CompiledStream | None = None,
     digest: str | None = None,
 ) -> PlacedBlock:
-    if kernel == "arena" and bins is not None:
-        # Explicit bins mean shared, possibly pre-filled state: prefix
-        # snapshots (which assume empty-start bins) don't apply, so the
-        # arena delegates straight to the fused kernel.
-        kernel = "fused"
     with trace_span("cost.place") as span:
-        if kernel == "arena":
-            from .arena import get_arena
-
-            fingerprint = _machine_fingerprint(machine)
-            if compiled is None:
-                compiled = compile_stream(machine, instr_list, digest,
-                                          fingerprint=fingerprint)
-            times, completions, bin_set = get_arena(
-                machine, focus_span).drop(compiled)
-            lazy = _LazyOps(compiled.instrs, times, completions)
-        elif kernel == "fused":
+        if kernel == "fused":
             bin_set = bins if bins is not None else BinSet(machine)
             fingerprint = _machine_fingerprint(machine)
             if compiled is None:

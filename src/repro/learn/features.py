@@ -18,8 +18,8 @@ into one fixed-width vector per (program, machine) request:
   -- which is what lets a ridge model fit it tightly;
 * block summaries come from the compiled-stream memo, which is keyed
   by (machine fingerprint, placement digest) -- the same columns every
-  placement kernel consumes -- so feature vectors are identical under
-  ``legacy``/``fused``/``arena`` kernels and either arena lowering *by
+  placement path consumes -- so feature vectors are identical under
+  the ``legacy`` and ``fused`` kernels and batch placement *by
   construction*;
 * op names hash into a fixed number of buckets
   (:data:`OP_BUCKETS`, stable blake2b hash, never the salted builtin

@@ -61,7 +61,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..cost.arena import arena_cache_stats
 from ..cost.columnar import columnar_cache_stats
-from ..cost.placement import placement_cache_stats, placement_kernel
+from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest, stmts_digest
 from ..ir.parser import ParseError, parse_program
 from ..ir.lexer import LexError
@@ -75,7 +75,6 @@ from ..obs import (
 )
 from ..symbolic.poly import PolyError
 from ..transform.parallel import (
-    _adopt_kernel,
     _chunked,
     _predictors,
     evaluate_chunk,
@@ -370,19 +369,14 @@ def _placement_delta(before: Mapping[str, int],
 def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
                           collect_trace: bool = False,
                           trace_context: tuple[str, str | None] | None = None,
-                          kernel: str | None = None,
                           ) -> dict[str, Any]:
     """Run several light requests as one pool task.
 
     A task per tiny predict pays pool round-trip overhead comparable to
     the work itself; grouping amortizes it.  The worker also reports
     its placement-memo hit/miss delta, which the engine cannot observe
-    across a process boundary.  ``kernel`` is the engine process's
-    placement kernel, adopted on arrival so forked workers track a
-    runtime kernel switch (all kernels are bit-identical; this only
-    moves where the time goes).
+    across a process boundary.
     """
-    _adopt_kernel(kernel)
     before = placement_cache_stats()
     results = [execute_request(kind, payload, collect_trace, trace_context)
                for kind, payload in jobs]
@@ -390,11 +384,10 @@ def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
             "placement": _placement_delta(before, placement_cache_stats())}
 
 
-def _search_round_chunk(root, root_key, machine, programs,
-                        kernel: str | None = None) -> dict[str, Any]:
+def _search_round_chunk(root, root_key, machine, programs) -> dict[str, Any]:
     """Evaluate one slice of a split restructure's round batch."""
     before = placement_cache_stats()
-    costs = evaluate_chunk(root, root_key, machine, programs, kernel)
+    costs = evaluate_chunk(root, root_key, machine, programs)
     return {"costs": costs,
             "placement": _placement_delta(before, placement_cache_stats())}
 
@@ -911,8 +904,7 @@ class PredictionEngine:
             chunk_count = min(self.workers, max(1, len(light) // _GROUP_MIN))
             for group in _chunked(light, chunk_count):
                 jobs = [(entry.kind, entry.payload) for entry in group]
-                job = (execute_request_chunk,
-                       (jobs, collect, ctx, placement_kernel()))
+                job = (execute_request_chunk, (jobs, collect, ctx))
                 waiters[self._submit(*_flatten(job))] = ("chunk", group, job)
                 self._tasks.inc(shape="chunk")
         singles = [entry for entry in heavy if entry.kind != "restructure"]
@@ -1014,7 +1006,7 @@ class PredictionEngine:
             try:
                 futures = [
                     self._submit(_search_round_chunk, program, root_key,
-                                 machine, chunk, placement_kernel())
+                                 machine, chunk)
                     for chunk in chunks
                 ]
                 costs: list = []
@@ -1255,10 +1247,6 @@ class PredictionEngine:
             "repro_arena_drops_total",
             "Instructions actually dropped by the arena "
             "(engine process).").set(arena["drops"])
-        self.metrics.gauge(
-            "repro_arena_pool_entries",
-            "Resident prefix-pool trajectories across arenas "
-            "(engine process).").set(arena["pool_entries"])
         from ..calib import calibration_stats
         from ..sweep import sweep_stats
 

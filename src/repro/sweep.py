@@ -15,7 +15,7 @@ the ladder shares almost everything:
   shared, so later widths reach the placement memo with pre-digested
   streams -- placement becomes a dict probe;
 * placements for widths beyond the first are pre-warmed with a
-  **single batched arena placement** per width
+  **single batched placement** per width
   (:func:`repro.cost.arena.place_batch`);
 * widths whose scaled unit configurations coincide (placement is
   dispatch-width-blind) share one aggregation outright.
@@ -335,7 +335,7 @@ def _build_symbolic(program, members, symtab, flags,
         if expr is None:
             with trace_span("sweep.width") as span:
                 if position and parts:
-                    # One batched arena placement pre-warms the memo
+                    # One batched placement pre-warms the memo
                     # for this width; aggregation then replays shared,
                     # pre-digested streams as dict probes.
                     from .cost.arena import place_batch

@@ -30,7 +30,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from ..cost.placement import placement_kernel, set_placement_kernel
 from ..ir.digest import stmts_digest
 from ..ir.nodes import Program
 from ..ir.symtab import SymbolTable
@@ -40,19 +39,6 @@ from .incremental import IncrementalPredictor
 
 __all__ = ["SearchPool", "shared_predictor", "evaluate_chunk"]
 
-
-def _adopt_kernel(kernel: str | None) -> None:
-    """Switch this process to the caller's placement kernel.
-
-    ``set_placement_kernel`` only changes the calling process, so a
-    worker forked before the engine (or a test) flipped the kernel
-    would silently keep the old one; every pool task therefore carries
-    the submitting process's kernel name and adopts it on arrival.
-    All kernels are bit-identical, so this is a performance contract,
-    not a correctness one.
-    """
-    if kernel is not None and kernel != placement_kernel():
-        set_placement_kernel(kernel)
 
 #: Per-process predictor pool bound.  One entry per (root program,
 #: machine, flags) combination a worker has served.
@@ -105,20 +91,13 @@ def evaluate_chunk(
     root_key: tuple,
     machine: Machine,
     programs: Sequence[Program],
-    kernel: str | None = None,
 ) -> list[PerfExpr]:
     """Predict a chunk of candidate programs (the pool's unit of work).
 
     The predictor is keyed by the *root* program: every candidate is a
     transformed variant sharing the root's declarations and symbol
-    table, exactly as the serial search evaluates them.  ``kernel``
-    names the submitter's placement kernel (see :func:`_adopt_kernel`);
-    with ``"arena"``, every sibling candidate in the chunk bottoms out
-    in this process's shared placement arena, so their near-identical
-    straight-line streams fork from common prefix snapshots instead of
-    re-dropping them.
+    table, exactly as the serial search evaluates them.
     """
-    _adopt_kernel(kernel)
     predictor = shared_predictor(root_key, machine, root)
     return [predictor.predict(program) for program in programs]
 
@@ -223,7 +202,6 @@ class SearchPool:
         self._ensure_pool()
         if self._pool is None:
             return self._inline(programs)
-        kernel = placement_kernel()
         chunks = _chunked(
             programs,
             min(self.workers, max(1, len(programs) // self.min_chunk)),
@@ -232,7 +210,7 @@ class SearchPool:
             futures = [
                 self._pool.submit(
                     evaluate_chunk, self.root, self.root_key,
-                    self.machine, chunk, kernel,
+                    self.machine, chunk,
                 )
                 for chunk in chunks
             ]

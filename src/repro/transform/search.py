@@ -52,7 +52,6 @@ from typing import Any, Callable, Mapping, Sequence
 from ..compare.comparator import Verdict, compare
 from ..ir.digest import stmts_digest
 from ..ir.nodes import Program
-from ..cost.placement import placement_kernel
 from ..machine.compiled import compile_ops
 from ..obs import trace_span
 from ..symbolic.expr import PerfExpr
@@ -239,14 +238,10 @@ def astar_search(
 
     Every candidate evaluated below bottoms out in the active placement
     kernel; the machine's op costs are interned once here so no round
-    pays the first-call compilation.  Under ``kernel="arena"`` the
-    machine's :class:`~repro.cost.arena.PlacementArena` is warmed too,
-    so sibling candidates -- near-identical straight-line streams that
-    differ only in a transformed suffix -- fork from shared prefix
-    snapshots instead of re-dropping the common head.  Each round's
-    successor batch is already digest-deduped before evaluation (the
-    ``seen`` transposition guard), so commuting transformation orders
-    cost one prediction, not many.
+    pays the first-call compilation.  Each round's successor batch is
+    already digest-deduped before evaluation (the ``seen``
+    transposition guard), so commuting transformation orders cost one
+    prediction, not many.
 
     ``on_round`` fires at every round boundary with a
     :class:`RoundProgress` (best-so-far incumbent plus a resumable
@@ -258,10 +253,6 @@ def astar_search(
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
     compile_ops(predictor.aggregator.machine)
-    if placement_kernel() == "arena":
-        from ..cost.arena import get_arena
-
-        get_arena(predictor.aggregator.machine)
     table = table if table is not None else TranspositionTable()
     own_pool = None
     if evaluate_batch is None and search_workers > 1:

@@ -138,6 +138,30 @@ def test_simulate_loop_carried_recurrence_slower():
         simulate_loop(machine, stream, 0)
 
 
+@pytest.mark.parametrize("carried", [0, 2])
+def test_simulate_loop_chains_last_instruction_of_each_copy(
+        monkeypatch, carried):
+    """The recurrence links copy k+1's last instruction to copy k's
+    last instruction; chain heads gain no cross-iteration edge."""
+    from repro.backend import simulator
+
+    seen = []
+    real = simulator.simulate
+    monkeypatch.setattr(simulator, "simulate",
+                        lambda machine, merged, width: seen.append(merged)
+                        or real(machine, merged, width))
+    machine = power_machine()
+    stream = InstrStream(machine_name="power")
+    load = stream.append("lsu_load").index
+    stream.append("fpu_arith", (load,), tag="acc")
+    simulate_loop(machine, stream, 3, carried_latency=carried)
+    deps = [instr.deps for instr in seen[0]]
+    if carried:
+        assert deps == [(), (0,), (), (1, 2), (), (3, 4)]
+    else:
+        assert deps == [(), (0,), (), (2,), (), (4,)]
+
+
 def test_ipc_reported():
     res = simulate(power_machine(), [Instr(i, "fpu_arith") for i in range(8)])
     assert 0.5 < res.ipc <= 1.0

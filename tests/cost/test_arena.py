@@ -1,31 +1,27 @@
-"""The batch placement arena: dedup, prefix resume, and bit-identity.
+"""Batch placement: dedup, prefix resume, and bit-identity.
 
 Every assertion here is differential: whatever path a stream takes
-through the arena (batch SoA drop, memo hit, digest dedup, prefix-
-snapshot resume, sequential pool fork), the result must be the one the
-legacy ``BinSet.place`` loop produces over fresh bins.  Both the numpy
-lowering and the pure-``array`` fallback are exercised for each case.
+through ``place_batch`` (SoA drop, memo hit, digest dedup, prefix-
+snapshot resume), the result must be the one the legacy
+``BinSet.place`` loop produces over fresh bins.
 """
 
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cost import (
-    HAVE_NUMPY,
-    PlacementArena,
     arena_cache_stats,
-    arena_numpy_enabled,
-    get_arena,
     place_batch,
     place_stream,
     reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
-    set_arena_numpy,
     set_placement_kernel,
 )
-from repro.cost import arena as arena_mod
+from repro.cost.arena import _LCP_CHUNK, _lcp
 from repro.cost.columnar import compile_stream
 from repro.cost.placement import _place_uncached
 from repro.machine import power_machine
@@ -34,21 +30,11 @@ from repro.translate.stream import Instr, InstrStream
 
 FOCUS = 64
 
-#: Both lowerings of the prefix machinery, numpy one only if installed.
-MODES = [False] + ([True] if HAVE_NUMPY else [])
-
 
 def setup_function(_):
     reset_placement_cache()
     reset_columnar_cache()
     reset_arenas()
-
-
-@pytest.fixture(params=MODES, ids=lambda on: "numpy" if on else "fallback")
-def numpy_mode(request):
-    previous = set_arena_numpy(request.param)
-    yield request.param
-    set_arena_numpy(previous)
 
 
 def _ops(machine):
@@ -81,11 +67,7 @@ def _same_placement(got, want):
     assert got.block == want.block
 
 
-# ---------------------------------------------------------------------------
-# Batch path
-
-
-def test_batch_matches_legacy_per_stream(numpy_mode):
+def test_batch_matches_legacy_per_stream():
     machine = power_machine()
     shared = _stream(machine, 40, seed=7)
     streams = [_stream(machine, 60, seed=100 + k, prefix=shared)
@@ -96,10 +78,10 @@ def test_batch_matches_legacy_per_stream(numpy_mode):
     stats = arena_cache_stats()
     assert stats["batches"] == 1 and stats["streams"] == 8
     assert stats["prefix_reuses"] >= 6          # siblings fork, not replay
-    assert stats["prefix_ops_saved"] >= 6 * 16  # at least the first cut each
+    assert stats["prefix_ops_saved"] >= 6 * 16  # forks skip the shared head
 
 
-def test_batch_dedups_identical_streams(numpy_mode):
+def test_batch_dedups_identical_streams():
     machine = power_machine()
     base = _stream(machine, 30, seed=3)
     other = _stream(machine, 30, seed=4)
@@ -114,7 +96,7 @@ def test_batch_dedups_identical_streams(numpy_mode):
     assert stats["placed"] == 2                 # only the unique pair dropped
 
 
-def test_batch_probes_and_feeds_the_placement_memo(numpy_mode):
+def test_batch_probes_and_feeds_the_placement_memo():
     machine = power_machine()
     instrs = _stream(machine, 24, seed=11)
     warm = place_stream(machine, instrs, FOCUS)      # seeds the memo
@@ -131,7 +113,7 @@ def test_batch_probes_and_feeds_the_placement_memo(numpy_mode):
     assert arena_cache_stats()["placed"] == before   # served by the memo
 
 
-def test_batch_accepts_mixed_stream_types(numpy_mode):
+def test_batch_accepts_mixed_stream_types():
     machine = power_machine()
     instrs = _stream(machine, 12, seed=5)
     stream = InstrStream()
@@ -146,7 +128,7 @@ def test_batch_accepts_mixed_stream_types(numpy_mode):
     assert results[1].cycles == want.cycles
 
 
-def test_empty_batch_and_empty_stream(numpy_mode):
+def test_empty_batch_and_empty_stream():
     machine = power_machine()
     assert place_batch(machine, [], FOCUS) == []
     results = place_batch(machine, [[]], FOCUS, use_memo=False)
@@ -156,110 +138,28 @@ def test_empty_batch_and_empty_stream(numpy_mode):
 def test_foreign_compiled_stream_rejected():
     compiled = compile_stream(power_machine(), [Instr(0, "fpu_arith")])
     with pytest.raises(ValueError):
-        get_arena(wide_machine()).place_batch([compiled])
+        place_batch(wide_machine(), [compiled])
 
 
-# ---------------------------------------------------------------------------
-# Sequential path (kernel="arena")
-
-
-def test_arena_kernel_matches_legacy_and_pools_prefixes(numpy_mode):
-    machine = power_machine()
-    shared = _stream(machine, 80, seed=21)
-    previous = set_placement_kernel("arena")
-    try:
-        for k in range(6):
-            instrs = _stream(machine, 120, seed=300 + k, prefix=shared)
-            placed = place_stream(machine, instrs, FOCUS)
-            _same_placement(placed, _legacy(machine, instrs))
-    finally:
-        set_placement_kernel(previous)
-    stats = arena_cache_stats()
-    assert stats["prefix_reuses"] >= 5
-    # Resumes happen at snapshot cuts <= the 80-instr shared prefix.
-    assert stats["prefix_ops_saved"] >= 5 * 64
-
-
-def test_arena_kernel_with_explicit_bins_downgrades_to_fused():
-    """Pre-filled shared bins break the empty-start snapshot premise."""
-    from repro.cost import BinSet
-
-    machine = power_machine()
-    instrs = _stream(machine, 16, seed=9)
-    arena_bins = BinSet(machine)
-    fused_bins = BinSet(machine)
-    via_arena = _place_uncached(machine, instrs, FOCUS, arena_bins, "arena")
-    via_fused = _place_uncached(machine, instrs, FOCUS, fused_bins, "fused")
-    _same_placement(via_arena, via_fused)
-    assert arena_cache_stats()["streams"] == 0   # the arena never saw it
-
-
-def test_drop_pool_is_bounded():
-    machine = power_machine()
-    arena = get_arena(machine, FOCUS)
-    for k in range(arena_mod.ARENA_POOL_LIMIT + 5):
-        arena.drop(compile_stream(machine, _stream(machine, 20, seed=k)))
-    assert len(arena._pool) == arena_mod.ARENA_POOL_LIMIT
-    assert arena_cache_stats()["pool_entries"] == arena_mod.ARENA_POOL_LIMIT
-
-
-# ---------------------------------------------------------------------------
-# Toggles and registry
-
-
-def test_set_arena_numpy_requires_numpy(monkeypatch):
-    monkeypatch.setattr(arena_mod, "HAVE_NUMPY", False)
-    with pytest.raises(RuntimeError):
-        set_arena_numpy(True)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_toggle_round_trips():
-    previous = set_arena_numpy(True)
-    try:
-        assert arena_numpy_enabled()
-        assert set_arena_numpy(False) is True
-        assert not arena_numpy_enabled()
-    finally:
-        set_arena_numpy(previous)
-
-
-def test_lcp_agrees_across_lowerings():
-    from array import array
-
-    rng = random.Random(0)
-    for _ in range(50):
-        n = rng.randint(0, 300)
-        a = array("q", [rng.randint(0, 5) for _ in range(n)])
-        b = array("q", a)
-        if n and rng.random() < 0.8:
-            cut = rng.randrange(n)
-            b[cut] = a[cut] + 1
-        limit = min(len(a), len(b))
-        previous = set_arena_numpy(False)
-        try:
-            fallback = arena_mod._lcp(a, b, limit)
-            if HAVE_NUMPY:
-                set_arena_numpy(True)
-                assert arena_mod._lcp(a, b, limit) == fallback
-        finally:
-            set_arena_numpy(previous)
-        want = limit
-        for k in range(limit):
-            if a[k] != b[k]:
-                want = k
-                break
-        assert fallback == want
-
-
-def test_get_arena_is_shared_and_keyed():
-    machine = power_machine()
-    assert get_arena(machine, 64) is get_arena(machine, 64)
-    assert get_arena(machine, 64) is not get_arena(machine, 8)
+def test_focus_span_below_one_rejected():
     with pytest.raises(ValueError):
-        PlacementArena(machine, focus_span=0)
+        place_batch(power_machine(), [[Instr(0, "fpu_arith")]], focus_span=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=3 * _LCP_CHUNK),
+       st.lists(st.integers(0, 3), max_size=3 * _LCP_CHUNK),
+       st.integers(0, 3 * _LCP_CHUNK))
+def test_lcp_matches_a_naive_scan(head, tail, shared):
+    """Chunked LCP vs a token-by-token scan, across chunk boundaries."""
+    a = array("q", head)
+    b = array("q", head[:shared] + tail)
+    limit = min(len(a), len(b))
+    want = next((k for k in range(limit) if a[k] != b[k]), limit)
+    assert _lcp(a, b, limit) == want
 
 
 def test_unknown_kernel_still_rejected():
-    with pytest.raises(ValueError):
-        set_placement_kernel("vectorized")
+    for name in ("vectorized", "arena"):
+        with pytest.raises(ValueError):
+            set_placement_kernel(name)

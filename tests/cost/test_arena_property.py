@@ -1,35 +1,27 @@
-"""Property test: arena placement is bit-identical to both oracles.
+"""Property test: batch placement is bit-identical to both oracles.
 
 Random machines and random *batches* of streams -- biased so that many
-share prefixes or are outright identical, the regime the arena's dedup
-and snapshot machinery actually exercises -- must place element-wise
-identically to the fused columnar kernel and the legacy ``BinSet.place``
-loop: landing times, completions, pipe choices (via the bin grids the
-sequential path returns), and the summary block.  Both the numpy and
-pure-``array`` prefix lowerings run on every example.
+share prefixes or are outright identical, the regime ``place_batch``'s
+dedup and snapshot machinery actually exercises -- must place
+element-wise identically to the fused columnar kernel and the legacy
+``BinSet.place`` loop: landing times, completions, and the summary
+block with its per-pipe profiles and occupancy.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cost import (
-    HAVE_NUMPY,
-    get_arena,
-    reset_arenas,
+    place_batch,
     reset_columnar_cache,
     reset_placement_cache,
-    set_arena_numpy,
 )
-from repro.cost.columnar import compile_stream
 from repro.cost.placement import _place_uncached
-from repro.cost.bins import BinSet
 from repro.machine.atomic import AtomicCostTable, AtomicOp
 from repro.machine.machine import Machine
 from repro.machine.units import FunctionalUnit, UnitCost, UnitKind
 from repro.translate.stream import Instr
 
 _KINDS = tuple(UnitKind)
-
-_MODES = [False] + ([True] if HAVE_NUMPY else [])
 
 
 @st.composite
@@ -86,59 +78,18 @@ def _machine_and_batch(draw):
     return machine, batch, focus_span
 
 
-def _grids(bins: BinSet):
-    return {bin_id: arr.as_bools() for bin_id, arr in bins.arrays.items()}
-
-
-def _oracle(machine, instrs, focus_span):
-    bins = BinSet(machine)
-    placed = _place_uncached(machine, instrs, focus_span, bins, "legacy")
-    return placed, bins
-
-
 @settings(max_examples=60, deadline=None)
 @given(_machine_and_batch())
 def test_batch_path_matches_both_oracles(case):
     machine, batch, focus_span = case
-    for mode in _MODES:
-        reset_arenas()
-        reset_placement_cache()
-        reset_columnar_cache()
-        previous = set_arena_numpy(mode)
-        try:
-            arena = get_arena(machine, focus_span)
-            results = arena.place_batch(batch, use_memo=False)
-            for instrs, placed in zip(batch, results):
-                legacy, _ = _oracle(machine, instrs, focus_span)
-                fused = _place_uncached(machine, instrs, focus_span,
-                                        None, "fused")
-                got = [(o.time, o.completion) for o in placed.ops]
-                assert got == [(o.time, o.completion) for o in legacy.ops]
-                assert got == [(o.time, o.completion) for o in fused.ops]
-                assert placed.cycles == legacy.cycles
-                assert placed.block == legacy.block == fused.block
-        finally:
-            set_arena_numpy(previous)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_machine_and_batch())
-def test_sequential_path_matches_both_oracles(case):
-    """kernel="arena" drops, fed one at a time so the pool forks kick in."""
-    machine, batch, focus_span = case
-    for mode in _MODES:
-        reset_arenas()
-        reset_columnar_cache()
-        previous = set_arena_numpy(mode)
-        try:
-            arena = get_arena(machine, focus_span)
-            for instrs in batch:
-                compiled = compile_stream(machine, instrs)
-                times, completions, bins = arena.drop(compiled)
-                legacy, legacy_bins = _oracle(machine, instrs, focus_span)
-                assert times == [o.time for o in legacy.ops]
-                assert completions == [o.completion for o in legacy.ops]
-                assert _grids(bins) == _grids(legacy_bins)
-                assert bins._top == legacy_bins._top == bins._scan_top()
-        finally:
-            set_arena_numpy(previous)
+    reset_placement_cache()
+    reset_columnar_cache()
+    results = place_batch(machine, batch, focus_span, use_memo=False)
+    for instrs, placed in zip(batch, results):
+        legacy = _place_uncached(machine, instrs, focus_span, None, "legacy")
+        fused = _place_uncached(machine, instrs, focus_span, None, "fused")
+        got = [(o.time, o.completion) for o in placed.ops]
+        assert got == [(o.time, o.completion) for o in legacy.ops]
+        assert got == [(o.time, o.completion) for o in fused.ops]
+        assert placed.cycles == legacy.cycles
+        assert placed.block == legacy.block == fused.block

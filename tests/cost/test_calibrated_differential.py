@@ -1,7 +1,7 @@
 """Differential tests: calibrated machines across placement kernels.
 
 A calibrated cost table must be a drop-in machine: every placement
-kernel (legacy, fused, arena batch path) must produce *bit-identical*
+path (legacy, fused, batch placement) must produce *bit-identical*
 placements for it, and swapping a recalibrated table under the same
 machine name must invalidate -- not corrupt -- the placement memo and
 the service result cache.
@@ -18,7 +18,6 @@ from repro.calib import (
 from repro.cost import (
     place_batch,
     place_stream,
-    reset_arenas,
     reset_columnar_cache,
     reset_placement_cache,
     set_placement_kernel,
@@ -33,7 +32,6 @@ FOCUS = 64
 def setup_function(_):
     reset_placement_cache()
     reset_columnar_cache()
-    reset_arenas()
 
 
 @pytest.fixture(scope="module")
@@ -75,25 +73,23 @@ def _snapshot(placed):
 def test_kernels_bit_identical_on_calibrated_machine(calibrated):
     streams = _streams(calibrated)
     results = {}
-    for kernel in ("legacy", "fused", "arena"):
+    for kernel in ("legacy", "fused"):
         previous = set_placement_kernel(kernel)
         try:
             reset_placement_cache()
-            reset_arenas()
             results[kernel] = [
                 _snapshot(place_stream(calibrated, stream, FOCUS))
                 for stream in streams
             ]
         finally:
             set_placement_kernel(previous)
-    assert results["legacy"] == results["fused"] == results["arena"]
+    assert results["legacy"] == results["fused"]
 
 
 def test_arena_batch_matches_single_placements(calibrated):
     streams = _streams(calibrated)
     single = [_snapshot(place_stream(calibrated, s, FOCUS)) for s in streams]
     reset_placement_cache()
-    reset_arenas()
     batched = [_snapshot(p) for p in place_batch(calibrated, streams, FOCUS)]
     assert batched == single
 

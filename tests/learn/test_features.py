@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import (
-    HAVE_NUMPY,
-    set_arena_numpy,
-    set_placement_kernel,
-)
+from repro.cost import set_placement_kernel
 from repro.learn import (
     FEATURE_DIM,
     StaticFeatures,
@@ -125,14 +121,14 @@ def test_machine_changes_features():
 
 
 # ----------------------------------------------------------------------
-# kernel / lowering invariance (the fast tier must answer identically
+# kernel invariance (the fast tier must answer identically
 # regardless of which exact-path kernel the process is configured with)
 
 
 @pytest.mark.parametrize("name,source", sorted(PROGRAMS.items()))
 def test_features_identical_across_placement_kernels(name, source):
     vectors = {}
-    for kernel in ("legacy", "fused", "arena"):
+    for kernel in ("legacy", "fused"):
         previous = set_placement_kernel(kernel)
         try:
             reset_feature_cache()
@@ -144,28 +140,14 @@ def test_features_identical_across_placement_kernels(name, source):
             )
         finally:
             set_placement_kernel(previous)
-    assert vectors["legacy"] == vectors["fused"] == vectors["arena"]
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy for both lowerings")
-def test_features_identical_across_arena_lowerings():
-    outs = {}
-    for enabled in (False, True):
-        previous = set_arena_numpy(enabled)
-        try:
-            reset_feature_cache()
-            static = extract_static(NESTED, "power")
-            outs[enabled] = feature_vector(static, {"n": 12, "m": 7})
-        finally:
-            set_arena_numpy(previous)
-    assert outs[False] == outs[True]
+    assert vectors["legacy"] == vectors["fused"]
 
 
 @given(
     st.sampled_from(sorted(PROGRAMS)),
     st.integers(0, 200),
     st.integers(0, 200),
-    st.sampled_from(["legacy", "fused", "arena"]),
+    st.sampled_from(["legacy", "fused"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_vector_bit_identical_under_kernel_property(name, n, m, kernel):

@@ -167,9 +167,9 @@ def test_evaluate_dedups_identical_candidates(monkeypatch):
     seen = []
     real = parallel_mod.evaluate_chunk
 
-    def spy(root, root_key, machine, programs, kernel=None):
+    def spy(root, root_key, machine, programs):
         seen.append(len(programs))
-        return real(root, root_key, machine, programs, kernel)
+        return real(root, root_key, machine, programs)
 
     monkeypatch.setattr(parallel_mod, "evaluate_chunk", spy)
     pool = SearchPool(program, power_machine(), workers=1)
@@ -178,24 +178,3 @@ def test_evaluate_dedups_identical_candidates(monkeypatch):
     assert sum(seen) == 1               # one unique candidate evaluated
     assert len(costs) == 3
     assert str(costs[0]) == str(costs[1]) == str(costs[2])
-
-
-def test_search_matches_serial_under_arena_kernel():
-    """The arena kernel is a drop-in: same search result, bit for bit."""
-    from repro.cost import (
-        arena_cache_stats,
-        reset_arenas,
-        set_placement_kernel,
-    )
-    from repro.cost.placement import reset_placement_cache
-
-    serial = _search(beam_width=4)
-    reset_placement_cache()
-    reset_arenas()
-    previous = set_placement_kernel("arena")
-    try:
-        arena = _search(beam_width=4)
-    finally:
-        set_placement_kernel(previous)
-    assert _fingerprint(arena) == _fingerprint(serial)
-    assert arena_cache_stats()["streams"] > 0   # candidates really routed
