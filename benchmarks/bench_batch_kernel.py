@@ -31,7 +31,6 @@ import time
 
 from repro.cost import (
     place_batch,
-    reset_columnar_cache,
     reset_placement_cache,
 )
 from repro.cost.columnar import compile_stream
@@ -126,7 +125,6 @@ def _throughput(candidates, size, prefix_len, reps, seed=7, rounds=3):
     batch = _sibling_batch(rng, _placeable_ops(machine), candidates, size,
                            prefix_len)
     reset_placement_cache()
-    reset_columnar_cache()
     compiled = [compile_stream(machine, instrs) for instrs in batch]
 
     def run_baseline():

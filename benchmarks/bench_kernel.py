@@ -22,7 +22,7 @@ import pathlib
 import random
 import time
 
-from repro.cost import BinSet, reset_columnar_cache, reset_placement_cache
+from repro.cost import BinSet, reset_placement_cache
 from repro.cost.placement import _place_uncached
 from repro.machine.alpha import alpha_machine
 from repro.machine.power import power_machine
@@ -88,9 +88,10 @@ def _throughput(size, reps, seed=7, rounds=3):
 
     ``place_stream`` hashes the stream once for its memo key before
     either kernel runs, so the digest is precomputed here too -- the
-    timed region is placement work only, for both kernels.  Each
-    kernel's wall time is the best of ``rounds`` to shed scheduler
-    noise.
+    timed region is placement work only, for both kernels.  For the
+    fused kernel that includes lowering the stream to columns, which
+    it does on every placement-memo miss.  Each kernel's wall time is
+    the best of ``rounds`` to shed scheduler noise.
     """
     from repro.translate.stream import placement_digest
 
@@ -99,7 +100,6 @@ def _throughput(size, reps, seed=7, rounds=3):
     instrs = _rand_stream(rng, _placeable_ops(machine), size)
     digest = placement_digest(instrs)
     reset_placement_cache()
-    reset_columnar_cache()
     for kernel in ("legacy", "fused"):  # warm compilation + memos
         _place_uncached(machine, instrs, FOCUS_SPAN, None, kernel,
                         None, digest)

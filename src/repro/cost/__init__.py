@@ -7,14 +7,7 @@ structure, cost-block shapes, and inter-block overlap estimation.
 
 from .arena import arena_cache_stats, place_batch, reset_arenas
 from .bins import BinSet, Placement
-from .columnar import (
-    COLUMNAR_CACHE_LIMIT,
-    CompiledStream,
-    StreamSummary,
-    columnar_cache_stats,
-    compile_stream,
-    reset_columnar_cache,
-)
+from .columnar import CompiledStream, StreamSummary, compile_stream
 from .costblock import CostBlock
 from .estimator import BlockCost, StraightLineEstimator
 from .focus import DEFAULT_SPAN, EXHAUSTIVE_SPAN, FAST_SPAN, recommended_span
@@ -34,14 +27,14 @@ from .placement import (
 from .slots import SlotArray
 
 __all__ = [
-    "BinSet", "BlockCost", "COLUMNAR_CACHE_LIMIT",
+    "BinSet", "BlockCost",
     "CompiledStream", "CostBlock", "DEFAULT_FOCUS_SPAN", "DEFAULT_SPAN",
     "EXHAUSTIVE_SPAN", "FAST_SPAN", "PLACEMENT_CACHE_LIMIT",
     "PlacedBlock", "PlacedOp", "Placement", "SlotArray",
     "StraightLineEstimator", "StreamSummary", "arena_cache_stats",
-    "columnar_cache_stats", "combined_cycles", "compile_stream",
+    "combined_cycles", "compile_stream",
     "max_overlap", "place_batch", "place_stream",
     "placement_cache_stats", "placement_kernel", "recommended_span",
-    "reset_arenas", "reset_columnar_cache", "reset_placement_cache",
+    "reset_arenas", "reset_placement_cache",
     "set_placement_kernel", "steady_state_cycles", "stream_digest",
 ]

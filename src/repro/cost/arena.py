@@ -7,11 +7,12 @@ program, so their compiled streams share long common prefixes.  The
 per-stream kernel (:mod:`repro.cost.columnar`) re-drops every shared
 prefix from scratch; :func:`place_batch` doesn't.
 
-All candidate streams are lowered into one concatenated
-structure-of-arrays (op-id / dep ``array('q')`` columns with per-stream
-offsets, dep entries rebased to global positions), identical streams
-are deduped on their ``placement_digest``, and the remainder are sorted
-by token sequence so streams sharing a prefix become neighbours.
+Identical streams are deduped on their ``placement_digest`` and the
+placement memo is probed per digest; only the misses are lowered, into
+one concatenated structure-of-arrays (op-id / dep ``array('q')``
+columns with per-stream offsets, dep entries rebased to global
+positions), sorted by token sequence so streams sharing a prefix
+become neighbours.
 Placement then walks the sorted order with a stack of bin-state
 snapshots: each stream resumes from the deepest snapshot covered by its
 common prefix with the previous stream (the classic suffix-array LCP
@@ -40,22 +41,19 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import OrderedDict
 from typing import Sequence
 
 from ..machine.compiled import compile_ops
 from ..machine.machine import Machine
 from ..obs import trace_span
-from ..translate.stream import InstrStream
+from ..translate.stream import InstrStream, placement_digest
 from .bins import BinSet
 from .columnar import CompiledStream, _resolve, compile_stream, drop_range
 from .placement import (
     DEFAULT_FOCUS_SPAN,
     PlacedBlock,
     _LazyOps,
-    _machine_fingerprint,
-    _memo_probe,
-    _memo_store,
+    _memo,
     _share,
     _summarize,
 )
@@ -145,18 +143,26 @@ def reset_arenas() -> None:
 # ----------------------------------------------------------------------
 
 
-def _compile(machine: Machine, fingerprint: str, stream) -> CompiledStream:
-    """Normalize one batch entry to a CompiledStream on ``machine``."""
+def _digest(stream, fingerprint: str) -> str:
+    """One batch entry's placement digest, without lowering it."""
     if isinstance(stream, CompiledStream):
         if stream.fingerprint != fingerprint:
             raise ValueError(
                 "compiled stream belongs to a different machine "
                 f"({stream.fingerprint[:12]} != {fingerprint[:12]})")
+        return stream.digest
+    if isinstance(stream, InstrStream):
+        return stream.digest()
+    return placement_digest(stream)
+
+
+def _compile(machine: Machine, stream, digest: str) -> CompiledStream:
+    """Normalize one batch entry to a CompiledStream on ``machine``."""
+    if isinstance(stream, CompiledStream):
         return stream
     if isinstance(stream, InstrStream):
-        return compile_stream(machine, stream.instrs, stream.digest(),
-                              fingerprint=fingerprint)
-    return compile_stream(machine, stream, fingerprint=fingerprint)
+        stream = stream.instrs
+    return compile_stream(machine, stream, digest)
 
 
 def _tokenize(stream: CompiledStream, intern: dict[tuple, int]) -> array:
@@ -188,30 +194,27 @@ def place_batch(
     """
     if focus_span < 1:
         raise ValueError("focus span must be at least 1")
-    fingerprint = _machine_fingerprint(machine)
-    ops = compile_ops(machine, fingerprint)
+    ops = compile_ops(machine)
+    fingerprint = ops.fingerprint
     results: list[PlacedBlock | None] = [None] * len(streams)
     with trace_span("arena.compile") as span:
-        compiled = [_compile(machine, fingerprint, s) for s in streams]
-        # Full-stream dedup, then memo probe once per unique digest.
-        unique: OrderedDict[str, list[int]] = OrderedDict()
-        by_digest: dict[str, CompiledStream] = {}
-        for idx, stream in enumerate(compiled):
-            unique.setdefault(stream.digest, []).append(idx)
-            by_digest.setdefault(stream.digest, stream)
-        dedup = len(compiled) - len(unique)
+        # Full-stream dedup, then a memo probe per unique digest; only
+        # the misses are lowered.
+        unique: dict[str, list[int]] = {}
+        for idx, stream in enumerate(streams):
+            unique.setdefault(_digest(stream, fingerprint), []).append(idx)
+        dedup = len(streams) - len(unique)
         memo_hits = 0
         need: list[CompiledStream] = []
         for digest, slots in unique.items():
-            hit = (_memo_probe(fingerprint, digest, focus_span)
+            hit = (_memo.get((fingerprint, digest, focus_span))
                    if use_memo else None)
             if hit is not None:
                 memo_hits += 1
-                results[slots[0]] = hit
-                for slot in slots[1:]:
+                for slot in slots:
                     results[slot] = _share(hit)
                 continue
-            need.append(by_digest[digest])
+            need.append(_compile(machine, streams[slots[0]], digest))
         intern: dict[tuple, int] = {}
         tokens = [_tokenize(s, intern) for s in need]
         order = sorted(range(len(need)), key=lambda k: tokens[k].tobytes())
@@ -294,7 +297,8 @@ def place_batch(
                 lazy=_LazyOps(stream.instrs, t_col, c_col))
             placed.block = _summarize(work, (), t_col, c_col)
             if use_memo:
-                _memo_store(fingerprint, stream.digest, focus_span, placed)
+                _memo.put((fingerprint, stream.digest, focus_span),
+                          _share(placed))
             slots = unique[stream.digest]
             results[slots[0]] = placed
             for slot in slots[1:]:

@@ -13,9 +13,10 @@ This module compiles both invariants out of the inner loop:
 
 * a :class:`CompiledStream` lowers an instruction list into flat
   parallel ``array('q')`` columns -- dense op ids, dep index ranges
-  into one shared dep array, one-time flags -- built once per
-  (machine fingerprint, stream digest) and reused across beam rounds
-  and cache misses (a bounded memo, ``columnar_cache_stats``);
+  into one shared dep array, one-time flags.  Lowering is not
+  memoized: callers reach it only behind a placement-memo miss, and
+  the placement memo is keyed on the same (machine fingerprint,
+  stream digest);
 * :func:`drop_columns` is the fused multi-bin Tetris drop: it walks
   the signed-block free lists of all required pipes in lockstep,
   caching each component's earliest feasible start and recomputing
@@ -42,9 +43,7 @@ cannot change the result.
 
 from __future__ import annotations
 
-import threading
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,14 +53,11 @@ from ..translate.stream import Instr, placement_digest
 from .bins import BinSet
 
 __all__ = [
-    "COLUMNAR_CACHE_LIMIT",
     "CompiledStream",
     "StreamSummary",
-    "columnar_cache_stats",
     "compile_stream",
     "drop_columns",
     "drop_range",
-    "reset_columnar_cache",
 ]
 
 
@@ -107,42 +103,6 @@ class CompiledStream:
         return len(self.instrs)
 
 
-# ----------------------------------------------------------------------
-# Compiled-stream memo
-#
-# Beam rounds and service batches place the same few hundred distinct
-# streams over and over; lowering is O(n) but the columns are immutable,
-# so a bounded LRU keyed (machine fingerprint, stream digest) makes the
-# second and every later lowering a dict lookup.
-
-COLUMNAR_CACHE_LIMIT = 4096
-
-_cache: OrderedDict[tuple[str, str], CompiledStream] = OrderedDict()
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
-
-
-def columnar_cache_stats() -> dict[str, int]:
-    """Snapshot of the compiled-stream memo's counters and size."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-            "entries": len(_cache),
-        }
-
-
-def reset_columnar_cache() -> None:
-    """Drop all compiled streams and zero the counters."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = _cache_misses = _cache_evictions = 0
-
-
 def compile_stream(
     machine: Machine,
     instrs: Sequence[Instr],
@@ -150,30 +110,14 @@ def compile_stream(
     *,
     fingerprint: str | None = None,
 ) -> CompiledStream:
-    """Lower ``instrs`` to columns, reusing the memo when possible.
+    """Lower ``instrs`` to columns on ``machine``.
 
     ``digest`` / ``fingerprint`` let callers that already computed them
     (the placement memo does) skip the re-hash.
     """
-    global _cache_hits, _cache_misses, _cache_evictions
-    ops = compile_ops(machine, fingerprint)
     if digest is None:
         digest = placement_digest(instrs)
-    key = (ops.fingerprint, digest)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            _cache_hits += 1
-            return hit
-        _cache_misses += 1
-    compiled = _lower(ops, instrs, digest)
-    with _cache_lock:
-        _cache[key] = compiled
-        while len(_cache) > COLUMNAR_CACHE_LIMIT:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
-    return compiled
+    return _lower(compile_ops(machine, fingerprint), instrs, digest)
 
 
 def _lower(ops: CompiledOps, instrs: Sequence[Instr],

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ..machine.compiled import compile_ops
 from ..machine.machine import Machine
 from ..translate.stream import Instr, InstrStream, reindex
-from .columnar import compile_stream
 from .costblock import CostBlock
 from .overlap import steady_state_cycles
 from .placement import DEFAULT_FOCUS_SPAN, PlacedBlock, place_stream
@@ -65,19 +64,16 @@ class StraightLineEstimator:
     def estimate(self, stream: InstrStream) -> BlockCost:
         """Cost of one basic block (iterative + one-time parts).
 
-        Both halves are lowered to columnar form via the digest-keyed
-        compiled-stream memo, so re-estimating an already-seen block
-        (beam rounds, service batches) hashes each half once and reuses
-        the flat columns.
+        Re-estimating an already-seen block (beam rounds, service
+        batches) hashes each half once and answers from the placement
+        memo; a half is lowered to columns only on a memo miss.
         """
         iterative = [i for i in stream if not i.one_time]
         invariant = [i for i in stream if i.one_time]
-        placed = place_stream(
-            self.machine, compile_stream(self.machine, reindex(iterative)),
-            self.focus_span)
-        placed_inv = place_stream(
-            self.machine, compile_stream(self.machine, reindex(invariant)),
-            self.focus_span)
+        placed = place_stream(self.machine, reindex(iterative),
+                              self.focus_span)
+        placed_inv = place_stream(self.machine, reindex(invariant),
+                                  self.focus_span)
         return BlockCost(
             cycles=placed.cycles,
             one_time_cycles=placed_inv.cycles,
@@ -111,9 +107,7 @@ class StraightLineEstimator:
                     tag=instr.tag,
                 ))
             base += len(iterative)
-        placed = place_stream(
-            self.machine, compile_stream(self.machine, replicated),
-            self.focus_span)
+        placed = place_stream(self.machine, replicated, self.focus_span)
         return BlockCost(
             cycles=placed.cycles,
             one_time_cycles=0,

@@ -31,16 +31,14 @@ drop loop with prefix sharing across the batch.
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
 from typing import NamedTuple
 
+from ..machine.compiled import compile_ops
 from ..machine.machine import Machine
-from ..obs import trace_span
+from ..obs import BoundedCache, trace_span
 from ..translate.stream import Instr, InstrStream, placement_digest
 from .bins import BinSet
 from .columnar import CompiledStream, compile_stream, drop_columns
-from ..machine.compiled import compile_ops
 from .costblock import CostBlock
 
 __all__ = [
@@ -137,11 +135,6 @@ class PlacedBlock:
     def cycles(self) -> int:
         return self.block.cycles
 
-    def completion_of(self, index: int) -> int:
-        if self._ops is None and self._lazy.ops is None:
-            return self._lazy.completions[index]
-        return self.ops[index].completion
-
 
 # ----------------------------------------------------------------------
 # Kernel selection
@@ -182,72 +175,20 @@ def set_placement_kernel(name: str) -> str:
 
 PLACEMENT_CACHE_LIMIT = 2048
 
-_cache: OrderedDict[tuple[str, str, int], PlacedBlock] = OrderedDict()
-_cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
-_cache_evictions = 0
-
-#: Machine identity -> fingerprint memo: fingerprints hash the whole
-#: cost table, so recomputing one per placement would dwarf the win.
-_fingerprints: dict[int, tuple[Machine, str]] = {}
-
-
-def _machine_fingerprint(machine: Machine) -> str:
-    memo = _fingerprints.get(id(machine))
-    if memo is not None and memo[0] is machine:
-        return memo[1]
-    fingerprint = machine.fingerprint()
-    if len(_fingerprints) > 64:
-        _fingerprints.clear()
-    _fingerprints[id(machine)] = (machine, fingerprint)
-    return fingerprint
+#: (machine fingerprint, stream digest, focus span) -> master placement.
+#: Callers only ever see :func:`_share` views of a master.
+_memo: BoundedCache[tuple[str, str, int], PlacedBlock] = \
+    BoundedCache("placement", PLACEMENT_CACHE_LIMIT)
 
 
 def placement_cache_stats() -> dict[str, int]:
     """Snapshot of the placement memo's counters and size."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "evictions": _cache_evictions,
-            "entries": len(_cache),
-        }
+    return _memo.snapshot()
 
 
 def reset_placement_cache() -> None:
     """Drop all memoized placements and zero the counters."""
-    global _cache_hits, _cache_misses, _cache_evictions
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = _cache_misses = _cache_evictions = 0
-
-
-def _memo_probe(fingerprint: str, digest: str,
-                focus_span: int) -> PlacedBlock | None:
-    """Memo read for batch placement; counts a hit or a miss."""
-    global _cache_hits, _cache_misses
-    key = (fingerprint, digest, focus_span)
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            _cache_hits += 1
-            return _share(hit)
-        _cache_misses += 1
-    return None
-
-
-def _memo_store(fingerprint: str, digest: str, focus_span: int,
-                placed: PlacedBlock) -> None:
-    """Memo write for batch placement (same LRU bound)."""
-    global _cache_evictions
-    key = (fingerprint, digest, focus_span)
-    with _cache_lock:
-        _cache[key] = _share(placed)
-        while len(_cache) > PLACEMENT_CACHE_LIMIT:
-            _cache.popitem(last=False)
-            _cache_evictions += 1
+    _memo.clear()
 
 
 def _share(placed: PlacedBlock) -> PlacedBlock:
@@ -293,7 +234,6 @@ def place_stream(
     overrides the process default ("fused" or "legacy"); both kernels
     return bit-identical results, so they share the memo.
     """
-    global _cache_hits, _cache_misses, _cache_evictions
     if focus_span < 1:
         raise ValueError("focus span must be at least 1")
     if kernel is None:
@@ -315,15 +255,10 @@ def place_stream(
 
     key = None
     if bins is None:
-        fingerprint = _machine_fingerprint(machine)
         if digest is None:
             digest = placement_digest(instr_list)
-        key = (fingerprint, digest, focus_span)
-        with _cache_lock:
-            hit = _cache.get(key)
-            if hit is not None:
-                _cache.move_to_end(key)
-                _cache_hits += 1
+        key = (compile_ops(machine).fingerprint, digest, focus_span)
+        hit = _memo.get(key)
         if hit is not None:
             # Memoized placements still announce the phase: traces and
             # the cost.place histogram stay complete under a warm memo.
@@ -333,16 +268,10 @@ def place_stream(
                              focus_span=focus_span, cycles=hit.cycles,
                              cached=True)
             return _share(hit)
-        with _cache_lock:
-            _cache_misses += 1
     placed = _place_uncached(machine, instr_list, focus_span, bins,
                              kernel, compiled, digest)
     if key is not None:
-        with _cache_lock:
-            _cache[key] = _share(placed)
-            while len(_cache) > PLACEMENT_CACHE_LIMIT:
-                _cache.popitem(last=False)
-                _cache_evictions += 1
+        _memo.put(key, _share(placed))
     return placed
 
 
@@ -358,13 +287,10 @@ def _place_uncached(
     with trace_span("cost.place") as span:
         if kernel == "fused":
             bin_set = bins if bins is not None else BinSet(machine)
-            fingerprint = _machine_fingerprint(machine)
             if compiled is None:
-                compiled = compile_stream(machine, instr_list, digest,
-                                          fingerprint=fingerprint)
-            ops = compile_ops(machine, fingerprint)
+                compiled = compile_stream(machine, instr_list, digest)
             times, completions = drop_columns(
-                compiled, ops, bin_set, focus_span)
+                compiled, compile_ops(machine), bin_set, focus_span)
             lazy = _LazyOps(compiled.instrs, times, completions)
         else:
             bin_set = bins if bins is not None else BinSet(machine)

@@ -28,6 +28,7 @@ import hashlib
 from fractions import Fraction
 from typing import Sequence
 
+from ..obs.caches import BoundedCache
 from .nodes import (
     ArrayRef,
     Assign,
@@ -72,8 +73,8 @@ def source_digest(text: str) -> str:
 #: exists -- that is what makes an id-keyed cache sound.  Lookup is
 #: O(1); a structural-equality dict would re-hash the whole subtree on
 #: every probe, which defeats the point.
-_MEMO_LIMIT = 1 << 16
-_memo: dict[int, tuple[object, bytes]] = {}
+_memo: BoundedCache[int, tuple[object, bytes]] = \
+    BoundedCache("stmt_digest", 1 << 16)
 
 
 def _blake(parts: list[bytes]) -> bytes:
@@ -126,9 +127,7 @@ def _digest_node(node) -> bytes:
     else:
         raise TypeError(f"cannot digest IR node {node!r}")
 
-    if len(_memo) >= _MEMO_LIMIT:
-        _memo.clear()
-    _memo[key] = (node, out)
+    _memo.put(key, (node, out))
     return out
 
 

@@ -34,8 +34,6 @@ tier is for.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -48,6 +46,7 @@ from ..ir.parser import parse_program
 from ..ir.symtab import SymbolTable
 from ..machine.compiled import compile_ops
 from ..machine.registry import cached_machine, machine_fingerprint
+from ..obs.caches import BoundedCache
 from ..symbolic.poly import Poly
 from ..translate.backend_opts import AGGRESSIVE_BACKEND, NAIVE_BACKEND
 from ..translate.translator import Translator
@@ -113,24 +112,16 @@ class StaticFeatures:
 # ----------------------------------------------------------------------
 # static-extraction memo (bounded; serving hot path must not re-parse)
 
-_MEMO_LIMIT = 1024
-_memo: OrderedDict[tuple[str, str, str, bool], StaticFeatures] = OrderedDict()
-_memo_lock = threading.Lock()
-_memo_hits = 0
-_memo_misses = 0
+_memo: BoundedCache[tuple[str, str, str, bool], StaticFeatures] = \
+    BoundedCache("features", 1024)
 
 
 def feature_cache_stats() -> dict[str, int]:
-    with _memo_lock:
-        return {"hits": _memo_hits, "misses": _memo_misses,
-                "entries": len(_memo)}
+    return _memo.snapshot()
 
 
 def reset_feature_cache() -> None:
-    global _memo_hits, _memo_misses
-    with _memo_lock:
-        _memo.clear()
-        _memo_hits = _memo_misses = 0
+    _memo.clear()
 
 
 def peek_static(
@@ -149,11 +140,7 @@ def peek_static(
         fingerprint = machine_fingerprint(machine_name)
     except KeyError:
         return None
-    with _memo_lock:
-        hit = _memo.get((fingerprint, source, backend, include_memory))
-        if hit is not None:
-            _memo.move_to_end((fingerprint, source, backend, include_memory))
-        return hit
+    return _memo.peek((fingerprint, source, backend, include_memory))
 
 
 def extract_static(
@@ -167,22 +154,13 @@ def extract_static(
     Raises whatever the parser/translator raises on bad input -- the
     serving path treats any failure as "fall through to exact".
     """
-    global _memo_hits, _memo_misses
     fingerprint = machine_fingerprint(machine_name)
     key = (fingerprint, source, backend, include_memory)
-    with _memo_lock:
-        hit = _memo.get(key)
-        if hit is not None:
-            _memo.move_to_end(key)
-            _memo_hits += 1
-            return hit
-        _memo_misses += 1
-    static = _extract(source, machine_name, fingerprint, backend,
-                      include_memory)
-    with _memo_lock:
-        _memo[key] = static
-        while len(_memo) > _MEMO_LIMIT:
-            _memo.popitem(last=False)
+    static = _memo.get(key)
+    if static is None:
+        static = _extract(source, machine_name, fingerprint, backend,
+                          include_memory)
+        _memo.put(key, static)
     return static
 
 

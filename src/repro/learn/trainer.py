@@ -33,12 +33,13 @@ import logging
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
 from ..machine.registry import machine_fingerprint
+from ..obs.caches import BoundedCache
 from ..service.metrics import MetricsRegistry
 from .features import (
     FEATURE_VERSION,
@@ -102,13 +103,11 @@ class Surrogate:
         self._dropped = 0
         #: (fingerprint, source, backend, include_memory, bindings,
         #: model version) -> (response template, relative width).  A
-        #: repeated fast predict costs one dict lookup instead of a
+        #: repeated fast predict costs one memo probe instead of a
         #: featurize + dot product; versioned keys age out via LRU
         #: after a hot swap.
-        self._serve_memo: OrderedDict[tuple, tuple[dict, float]] = \
-            OrderedDict()
-        self._serve_memo_limit = 4096
-        self._serve_lock = threading.Lock()
+        self._serve_memo: BoundedCache[tuple, tuple[dict, float]] = \
+            BoundedCache("surrogate_serve", 4096)
         # plain-int mirrors of the registry counters, for stats()/healthz
         self._n_served = 0
         self._n_fallthrough = 0
@@ -200,10 +199,7 @@ class Surrogate:
                     tuple(sorted((k, str(v))
                                  for k, v in request.bindings.items())),
                     model.version)
-        with self._serve_lock:
-            hit = self._serve_memo.get(memo_key)
-            if hit is not None:
-                self._serve_memo.move_to_end(memo_key)
+        hit = self._serve_memo.get(memo_key)
         if hit is not None:
             template, rel_width = hit
         else:
@@ -233,10 +229,7 @@ class Surrogate:
                 "interval": [lo, hi],
                 "model_version": model.version,
             }
-            with self._serve_lock:
-                self._serve_memo[memo_key] = (template, rel_width)
-                if len(self._serve_memo) > self._serve_memo_limit:
-                    self._serve_memo.popitem(last=False)
+            self._serve_memo.put(memo_key, (template, rel_width))
         if fidelity == "auto":
             tolerance = request.tolerance
             if tolerance is None:

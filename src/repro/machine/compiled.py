@@ -26,6 +26,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
+from ..obs.caches import BoundedCache
 from .machine import Machine
 from .units import UnitKind
 
@@ -58,12 +59,16 @@ class CompiledOps:
 
 
 #: fingerprint -> compilation (never stale: the fingerprint covers the
-#: whole cost table, unit inventory, and mapping).
-_BY_FINGERPRINT: dict[str, CompiledOps] = {}
+#: whole cost table, unit inventory, and mapping).  Real processes see
+#: a handful of machines; randomized test suites see thousands.
+_BY_FINGERPRINT: BoundedCache[str, CompiledOps] = \
+    BoundedCache("compiled_ops", 256)
 #: id(machine) -> (machine, compilation) fast path, so the common case
-#: (the same registry-singleton machine over and over) costs one dict
-#: lookup instead of a cost-table hash.
-_BY_IDENTITY: dict[int, tuple[Machine, CompiledOps]] = {}
+#: (the same registry-singleton machine over and over) costs one memo
+#: probe instead of a cost-table hash.  This is also the process's
+#: machine -> fingerprint memo (``compile_ops(m).fingerprint``).
+_BY_IDENTITY: BoundedCache[int, tuple[Machine, CompiledOps]] = \
+    BoundedCache("compiled_ops_by_id", 64)
 
 
 def reset_compiled_ops() -> None:
@@ -82,16 +87,8 @@ def compile_ops(machine: Machine, fingerprint: str | None = None) -> CompiledOps
     compiled = _BY_FINGERPRINT.get(fingerprint)
     if compiled is None:
         compiled = _compile(machine, fingerprint)
-        # Real processes see a handful of machines; randomized test
-        # suites see thousands.  Flush wholesale rather than LRU: a
-        # re-compile is cheap and the identity memo still short-circuits
-        # the common case.
-        if len(_BY_FINGERPRINT) > 256:
-            _BY_FINGERPRINT.clear()
-        _BY_FINGERPRINT[fingerprint] = compiled
-    if len(_BY_IDENTITY) > 64:
-        _BY_IDENTITY.clear()
-    _BY_IDENTITY[id(machine)] = (machine, compiled)
+        _BY_FINGERPRINT.put(fingerprint, compiled)
+    _BY_IDENTITY.put(id(machine), (machine, compiled))
     return compiled
 
 

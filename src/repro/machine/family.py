@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..obs.caches import BoundedCache
 from .machine import Machine
 from .units import FunctionalUnit, UnitKind
 
@@ -61,11 +62,12 @@ def _pipes_for(width: int) -> int:
 _SINGLETON_KINDS = frozenset({UnitKind.BRANCH, UnitKind.CRLOGIC})
 
 #: (base identity, width) -> (base, member).  Stable member identity
-#: matters beyond construction cost: the placement layer's
-#: fingerprint memo and the compiled-op memo are keyed by machine
-#: identity, so handing back the same object per (base, width) keeps
-#: repeated sweeps off the sha256 path entirely.
-_MEMBER_MEMO: dict[tuple[int, int], tuple[Machine, Machine]] = {}
+#: matters beyond construction cost: the compiled-op memo (which is
+#: also placement's fingerprint memo) is keyed by machine identity, so
+#: handing back the same object per (base, width) keeps repeated
+#: sweeps off the sha256 path entirely.
+_MEMBER_MEMO: BoundedCache[tuple[int, int], tuple[Machine, Machine]] = \
+    BoundedCache("family_member", 256)
 
 
 def family_machine(
@@ -120,9 +122,7 @@ def family_machine(
         dispatch_width=width,
     )
     if key is not None:
-        if len(_MEMBER_MEMO) > 256:
-            _MEMBER_MEMO.clear()
-        _MEMBER_MEMO[key] = (machine, member)
+        _MEMBER_MEMO.put(key, (machine, member))
     return member
 
 

@@ -5,8 +5,9 @@ the rest of :mod:`repro`, so every pipeline package can instrument
 itself without cycles.  See :mod:`repro.obs.tracer` for the span
 model, :mod:`repro.obs.export` for the Chrome ``trace_event`` and
 span-tree renderings, :mod:`repro.obs.logs` for JSON logging with
-request-id propagation, and :mod:`repro.obs.propagation` for the W3C
-``traceparent`` context that stitches traces across processes.
+request-id propagation, :mod:`repro.obs.propagation` for the W3C
+``traceparent`` context that stitches traces across processes, and
+:mod:`repro.obs.caches` for the bounded LRU every memo is built on.
 
 Two modules are deliberately *not* re-exported here:
 :mod:`repro.obs.aggregate` (cluster metrics merging) and
@@ -15,6 +16,7 @@ Two modules are deliberately *not* re-exported here:
 layer, keeping this package import-light for pipeline code.
 """
 
+from .caches import BoundedCache, CacheStats, cache_stats
 from .export import chrome_trace, render_tree, write_chrome_trace
 from .propagation import (
     TRACEPARENT_HEADER,
@@ -54,4 +56,5 @@ __all__ = [
     "TRACEPARENT_HEADER", "TraceContext",
     "format_traceparent", "parse_traceparent", "current_context",
     "TraceBuffer", "ExemplarRing",
+    "BoundedCache", "CacheStats", "cache_stats",
 ]

@@ -13,7 +13,7 @@ pieces here make that possible without any third-party tracing stack:
 * :func:`current_context` -- the propagation view of "where am I":
   the active tracer's trace id plus the innermost open span, ready to
   be serialized onto an outgoing hop or into a worker task;
-* :class:`TraceBuffer` -- a bounded request-id -> spans ring each
+* :class:`TraceBuffer` -- a bounded request-id -> spans LRU each
   engine keeps, backing ``GET /debug/trace/<request_id>``;
 * :class:`ExemplarRing` -- the router's bounded keep of *interesting*
   traces (every failed request, plus the slowest successes), so the
@@ -32,6 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from .caches import BoundedCache
 from .tracer import current_span, current_tracer
 
 __all__ = [
@@ -113,7 +114,7 @@ def current_context() -> TraceContext | None:
 
 
 class TraceBuffer:
-    """Bounded request-id -> finished-spans ring (insertion-ordered).
+    """Bounded request-id -> finished-spans LRU (the ``trace`` cache).
 
     Each engine keeps one; the server deposits every traced request's
     spans and the job manager deposits job traces under the submitting
@@ -125,7 +126,9 @@ class TraceBuffer:
 
     def __init__(self, capacity: int = 256):
         self.capacity = max(1, capacity)
-        self._data: OrderedDict[str, list[dict[str, Any]]] = OrderedDict()
+        self._data: BoundedCache[str, list[dict[str, Any]]] = \
+            BoundedCache("trace", self.capacity)
+        #: Makes extend-or-insert atomic against a concurrent deposit.
         self._lock = threading.Lock()
 
     def put(self, request_id: str,
@@ -134,27 +137,21 @@ class TraceBuffer:
         if not request_id or not records:
             return
         with self._lock:
-            existing = self._data.get(request_id)
+            existing = self._data.peek(request_id)
             if existing is not None:
                 existing.extend(records)
-                self._data.move_to_end(request_id)
             else:
-                self._data[request_id] = records
-                while len(self._data) > self.capacity:
-                    self._data.popitem(last=False)
+                self._data.put(request_id, records)
 
     def get(self, request_id: str) -> list[dict[str, Any]] | None:
-        with self._lock:
-            records = self._data.get(request_id)
-            return list(records) if records is not None else None
+        records = self._data.get(request_id)
+        return list(records) if records is not None else None
 
     def request_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._data)
+        return [request_id for request_id, _ in self._data.items()]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._data)
 
 
 class ExemplarRing:

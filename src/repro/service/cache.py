@@ -19,9 +19,10 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterator
+
+from ..obs.caches import BoundedCache, CacheStats
 
 __all__ = ["CacheStats", "Eviction", "ResultCache", "endpoint_of"]
 
@@ -31,23 +32,6 @@ def endpoint_of(key: str) -> str:
     return key.split("|", 1)[0]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction accounting for one cache instance."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
-
-
 @dataclass(frozen=True)
 class Eviction:
     """One LRU eviction: which entry fell out, and how old it was."""
@@ -55,6 +39,15 @@ class Eviction:
     key: str
     endpoint: str
     age: float  # seconds since the entry was stored
+
+
+def _record(key: str, value: dict[str, Any], stamp: float,
+            aux: dict[str, Any] | None) -> str:
+    """One JSON line of the persistence file."""
+    record: dict[str, Any] = {"key": key, "value": value, "ts": stamp}
+    if aux:
+        record["req"] = aux
+    return json.dumps(record, sort_keys=True)
 
 
 class ResultCache:
@@ -72,100 +65,75 @@ class ResultCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self.path = os.fspath(path) if path is not None else None
-        self.stats = CacheStats()
-        self._data: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._stamps: dict[str, float] = {}  # key -> insertion wall time
-        self._aux: dict[str, dict[str, Any]] = {}  # key -> persisted req block
+        #: key -> (response, wall time stored, persisted req block or None)
+        self._core: BoundedCache[
+            str, tuple[dict[str, Any], float, dict[str, Any] | None]] = \
+            BoundedCache("result", maxsize)
+        #: Keeps the resident order and the file's line order in step.
         self._lock = threading.Lock()
         if self.path is not None:
             self.load()
 
+    @property
+    def stats(self) -> CacheStats:
+        return self._core.stats
+
+    @property
+    def _aux(self) -> dict[str, dict[str, Any]]:
+        """Persisted request blocks of the resident entries, by key."""
+        return {key: aux for key, (_, _, aux) in self._core.items() if aux}
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._core)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._data
+        return key in self._core
 
     def get(self, key: str) -> dict[str, Any] | None:
         """Look up ``key``; counts a hit or miss and refreshes recency."""
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.stats.misses += 1
-                return None
-            self._data.move_to_end(key)
-            self.stats.hits += 1
-            return value
+        entry = self._core.get(key)
+        return entry[0] if entry is not None else None
 
     def put(self, key: str, value: dict[str, Any],
             aux: dict[str, Any] | None = None) -> Eviction | None:
         """Store ``key``; evicts the LRU entry past ``maxsize``.
 
         ``aux`` is an optional request-shaped block persisted alongside
-        the value (as a ``req`` field on the JSON line) but never held
-        resident: offline consumers like ``repro surrogate train`` read
-        it back as free labeled training data.  Readers that predate
-        the field ignore it.
+        the value (as a ``req`` field on the JSON line, and kept with
+        the entry so :meth:`compact` rewrites it): offline consumers
+        like ``repro surrogate train`` read it back as free labeled
+        training data.  Readers that predate the field ignore it.
 
         Returns an :class:`Eviction` record when a resident entry fell
         out (so callers can report which endpoint lost an entry and how
         stale it was), or ``None`` when everything fit.
         """
         now = time.time()
-        evicted: Eviction | None = None
         with self._lock:
-            already_present = key in self._data
-            self._data[key] = value
-            self._data.move_to_end(key)
-            self._stamps[key] = now
-            if aux:
-                self._aux[key] = aux
-            if not already_present and len(self._data) > self.maxsize:
-                victim, _ = self._data.popitem(last=False)
-                stored = self._stamps.pop(victim, now)
-                self._aux.pop(victim, None)
-                self.stats.evictions += 1
-                evicted = Eviction(victim, endpoint_of(victim),
-                                   max(now - stored, 0.0))
+            victim = self._core.put(key, (value, now, aux or None))
             if self.path is not None:
-                self._append_line(key, value, now, aux)
-        return evicted
+                with open(self.path, "a", encoding="utf-8") as handle:
+                    handle.write(_record(key, value, now, aux) + "\n")
+        if victim is None:
+            return None
+        old_key, (_, stored, _) = victim
+        return Eviction(old_key, endpoint_of(old_key), max(now - stored, 0.0))
 
     def entry_ages(self) -> dict[str, float]:
         """Seconds since insertion for every resident entry."""
         now = time.time()
-        with self._lock:
-            return {
-                key: max(now - self._stamps.get(key, now), 0.0)
-                for key in self._data
-            }
+        return {key: max(now - stored, 0.0)
+                for key, (_, stored, _) in self._core.items()}
 
     def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._stamps.clear()
-            self._aux.clear()
-            self.stats = CacheStats()
+        self._core.clear()
 
     def keys(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._data))
+        return iter([key for key, _ in self._core.items()])
 
     # ------------------------------------------------------------------
     # persistence
-
-    def _append_line(self, key: str, value: dict[str, Any], stamp: float,
-                     aux: dict[str, Any] | None = None) -> None:
-        record: dict[str, Any] = {"key": key, "value": value, "ts": stamp}
-        if aux:
-            record["req"] = aux
-        line = json.dumps(record, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
 
     def load(self) -> int:
         """Replay the JSON-lines file; returns how many entries loaded.
@@ -176,9 +144,8 @@ class ResultCache:
         if self.path is None or not os.path.exists(self.path):
             return 0
         now = time.time()
-        loaded: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        stamps: dict[str, float] = {}
-        aux: dict[str, dict[str, Any]] = {}
+        loaded: dict[str, tuple[dict[str, Any], float,
+                                dict[str, Any] | None]] = {}
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -189,41 +156,29 @@ class ResultCache:
                     key, value = record["key"], record["value"]
                 except (json.JSONDecodeError, KeyError, TypeError):
                     continue
-                if key in loaded:
-                    loaded.move_to_end(key)
-                loaded[key] = value
                 req = record.get("req")
-                if isinstance(req, dict):
-                    aux[key] = req
                 # Files written before timestamps existed lack "ts";
                 # treat those entries as stored at load time.
                 ts = record.get("ts")
-                stamps[key] = float(ts) if isinstance(ts, (int, float)) else now
-        while len(loaded) > self.maxsize:
-            victim, _ = loaded.popitem(last=False)
-            stamps.pop(victim, None)
-            aux.pop(victim, None)
+                loaded.pop(key, None)   # a later line is the newer store
+                loaded[key] = (
+                    value,
+                    float(ts) if isinstance(ts, (int, float)) else now,
+                    req if isinstance(req, dict) else None,
+                )
         with self._lock:
-            self._data = loaded
-            self._stamps = stamps
-            self._aux = aux
-            return len(self._data)
+            self._core.clear()
+            for key, entry in list(loaded.items())[-self.maxsize:]:
+                self._core.put(key, entry)
+            return len(self._core)
 
     def compact(self) -> None:
         """Rewrite the persistence file to exactly the resident entries."""
         if self.path is None:
             return
         with self._lock:
-            now = time.time()
-            lines = []
-            for k, v in self._data.items():
-                record: dict[str, Any] = {
-                    "key": k, "value": v, "ts": self._stamps.get(k, now),
-                }
-                req = self._aux.get(k)
-                if req:
-                    record["req"] = req
-                lines.append(json.dumps(record, sort_keys=True))
+            lines = [_record(key, value, stored, aux)
+                     for key, (value, stored, aux) in self._core.items()]
             tmp = self.path + ".tmp"
             with open(tmp, "w", encoding="utf-8") as handle:
                 handle.write("\n".join(lines) + ("\n" if lines else ""))

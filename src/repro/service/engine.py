@@ -60,7 +60,6 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..cost.arena import arena_cache_stats
-from ..cost.columnar import columnar_cache_stats
 from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest, stmts_digest
 from ..ir.parser import ParseError, parse_program
@@ -81,7 +80,7 @@ from ..transform.parallel import (
     shared_predictor,
 )
 from .cache import ResultCache, endpoint_of
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, export_memo_metrics
 from .protocol import (
     CompareRequest,
     CompareResponse,
@@ -1196,32 +1195,11 @@ class PredictionEngine:
         if self.surrogate is not None:
             self.surrogate.export_metrics()
         self._sync_local_placement()
-        placement = placement_cache_stats()
         self.metrics.gauge(
             "repro_placement_cache_entries",
             "Resident placement-memo entries (engine process).").set(
-            placement["entries"])
-        self.metrics.gauge(
-            "repro_placement_cache_evictions_total",
-            "Placement-memo evictions (engine process).").set(
-            placement["evictions"])
-        columnar = columnar_cache_stats()
-        self.metrics.gauge(
-            "repro_columnar_cache_hits_total",
-            "Compiled-stream cache hits (engine process).").set(
-            columnar["hits"])
-        self.metrics.gauge(
-            "repro_columnar_cache_misses_total",
-            "Compiled-stream cache misses (engine process).").set(
-            columnar["misses"])
-        self.metrics.gauge(
-            "repro_columnar_cache_entries",
-            "Resident compiled-stream cache entries (engine process).").set(
-            columnar["entries"])
-        self.metrics.gauge(
-            "repro_columnar_cache_evictions_total",
-            "Compiled-stream cache evictions (engine process).").set(
-            columnar["evictions"])
+            placement_cache_stats()["entries"])
+        export_memo_metrics(self.metrics)
         arena = arena_cache_stats()
         self.metrics.gauge(
             "repro_arena_streams_total",

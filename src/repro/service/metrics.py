@@ -18,9 +18,12 @@ import threading
 from bisect import bisect_left
 from typing import Iterable, Mapping, NamedTuple
 
+from ..obs.caches import cache_stats
+
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
-    "MetricSample", "MetricFamily", "parse_exposition", "render_exposition",
+    "MetricSample", "MetricFamily", "export_memo_metrics",
+    "parse_exposition", "render_exposition",
 ]
 
 #: Latency buckets in seconds -- spans a cache hit (~10us) to a deep
@@ -234,6 +237,32 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.render())
         return "\n".join(lines) + "\n"
+
+
+#: (snapshot field, gauge family, help) for :func:`export_memo_metrics`.
+#: Deliberately not ``repro_cache_*``: those unlabelled series are the
+#: result cache's, and readers sum every sample of that family.
+_MEMO_FAMILIES = (
+    ("hits", "repro_memo_hits_total", "Bounded-cache hits, by cache."),
+    ("misses", "repro_memo_misses_total", "Bounded-cache misses, by cache."),
+    ("evictions", "repro_memo_evictions_total",
+     "Bounded-cache LRU evictions, by cache."),
+    ("entries", "repro_memo_entries",
+     "Resident bounded-cache entries, by cache."),
+)
+
+
+def export_memo_metrics(registry: MetricsRegistry) -> None:
+    """Publish every live bounded cache of this process into ``registry``.
+
+    One gauge per counter, labelled ``cache=<name>``; called at scrape
+    time, so the samples are snapshots of :func:`repro.obs.cache_stats`.
+    """
+    stats = cache_stats()
+    for field, name, help_text in _MEMO_FAMILIES:
+        gauge = registry.gauge(name, help_text)
+        for cache, counts in stats.items():
+            gauge.set(counts[field], cache=cache)
 
 
 # ---------------------------------------------------------------------------

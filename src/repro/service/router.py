@@ -77,7 +77,6 @@ import logging
 import signal
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from typing import Any, Callable, Mapping, Sequence
@@ -88,6 +87,7 @@ from ..ir.lexer import LexError
 from ..ir.parser import ParseError, parse_program
 from ..obs import (
     TRACEPARENT_HEADER,
+    BoundedCache,
     ExemplarRing,
     Tracer,
     chrome_trace,
@@ -102,7 +102,7 @@ from ..obs import (
 from ..obs.aggregate import merge_expositions
 from .client import HTTPConnectionPool, _split_base_url
 from .jobs import JOBS_PREFIX, job_affinity_key, parse_job_path
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, export_memo_metrics
 from .protocol import ProtocolError, error_envelope, request_from_dict
 from .shard import HashRing
 
@@ -126,38 +126,23 @@ _CONNECT_ERRORS = (ConnectionError, TimeoutError, OSError,
                    http.client.HTTPException)
 
 
-class _DigestMemo:
-    """Bounded source-text -> program-digest memo (thread-safe LRU).
+class _DigestMemo(BoundedCache[str, str]):
+    """Bounded source-text -> program-digest LRU (``router_digest``).
 
     Routing must not re-parse a program on every request: after the
     first sight of a source text, the digest lookup is one SHA-256 of
-    the raw text plus a dict hit.
+    the raw text plus a memo hit.
     """
 
     def __init__(self, maxsize: int = 4096):
-        self.maxsize = max(1, maxsize)
-        self.evictions = 0
-        self._data: OrderedDict[str, str] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        super().__init__("router_digest", max(1, maxsize))
 
     def digest(self, source: str) -> str:
         text_key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        with self._lock:
-            hit = self._data.get(text_key)
-            if hit is not None:
-                self._data.move_to_end(text_key)
-                return hit
-        value = program_digest(parse_program(source))
-        with self._lock:
-            self._data[text_key] = value
-            self._data.move_to_end(text_key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
+        value = self.get(text_key)
+        if value is None:
+            value = program_digest(parse_program(source))
+            self.put(text_key, value)
         return value
 
 
@@ -1034,6 +1019,7 @@ class ShardRouter(ThreadingMixIn, HTTPServer):
             "repro_router_trace_exemplars",
             "Exemplar traces retained (failed + slowest).",
         ).set(len(self.exemplars))
+        export_memo_metrics(self.metrics)
 
 
 def make_router(

@@ -39,7 +39,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .aggregate.aggregator import CostAggregator
-from .cost.columnar import compile_stream
 from .cost.costblock import CostBlock
 from .cost.estimator import BlockCost, StraightLineEstimator
 from .cost.overlap import steady_state_cycles
@@ -49,7 +48,7 @@ from .ir.symtab import SymbolTable
 from .machine.family import family_machine, family_width_ladder, \
     mechanistic_cycles
 from .machine.machine import Machine
-from .obs import trace_span
+from .obs import BoundedCache, trace_span
 from .symbolic.expr import PerfExpr
 from .translate.backend_opts import AGGRESSIVE_BACKEND, BackendFlags
 from .translate.stream import Instr, InstrStream, reindex
@@ -303,8 +302,8 @@ class _SymbolicSweep:
 #: (cache_key, id(base), ladder, flags, focus_span) -> (base, symbolic).
 #: The base machine rides in the value so a recycled id() after a
 #: recalibration (new table object, same name) can never serve stale.
-_SYMBOLIC_MEMO: dict = {}
-_SYMBOLIC_MEMO_CAP = 128
+_SYMBOLIC_MEMO: BoundedCache[tuple, tuple[Machine, _SymbolicSweep]] = \
+    BoundedCache("sweep_symbolic", 128)
 
 
 def _build_symbolic(program, members, symtab, flags,
@@ -421,9 +420,7 @@ def sweep_program(
         symbolic = _build_symbolic(program, members, symtab, flags,
                                    focus_span)
         if memo_key is not None:
-            if len(_SYMBOLIC_MEMO) >= _SYMBOLIC_MEMO_CAP:
-                _SYMBOLIC_MEMO.pop(next(iter(_SYMBOLIC_MEMO)))
-            _SYMBOLIC_MEMO[memo_key] = (base, symbolic)
+            _SYMBOLIC_MEMO.put(memo_key, (base, symbolic))
 
     instructions = float(symbolic.count_expr.evaluate(bindings))
     points = []

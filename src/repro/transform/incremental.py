@@ -16,27 +16,12 @@ ancestors miss the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..aggregate.aggregator import CostAggregator
 from ..ir.nodes import Program, Stmt
+from ..obs.caches import CacheStats
 from ..symbolic.expr import PerfExpr
 
 __all__ = ["CacheStats", "IncrementalPredictor"]
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.total if self.total else 0.0
 
 
 class IncrementalPredictor:

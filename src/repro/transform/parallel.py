@@ -21,7 +21,6 @@ or pool failures) -> inline, never an error.
 from __future__ import annotations
 
 import pickle
-from collections import OrderedDict
 from concurrent.futures import (
     Executor,
     ProcessPoolExecutor,
@@ -34,6 +33,7 @@ from ..ir.digest import stmts_digest
 from ..ir.nodes import Program
 from ..ir.symtab import SymbolTable
 from ..machine.machine import Machine
+from ..obs.caches import BoundedCache
 from ..symbolic.expr import PerfExpr
 from .incremental import IncrementalPredictor
 
@@ -44,7 +44,8 @@ __all__ = ["SearchPool", "shared_predictor", "evaluate_chunk"]
 #: machine, flags) combination a worker has served.
 PREDICTOR_LIMIT = 64
 
-_predictors: OrderedDict[tuple, IncrementalPredictor] = OrderedDict()
+_predictors: BoundedCache[tuple, IncrementalPredictor] = \
+    BoundedCache("predictor", PREDICTOR_LIMIT)
 
 
 def shared_predictor(
@@ -65,7 +66,6 @@ def shared_predictor(
     """
     predictor = _predictors.get(key)
     if predictor is not None:
-        _predictors.move_to_end(key)
         return predictor
     from ..aggregate.aggregator import CostAggregator
     from ..translate.backend_opts import AGGRESSIVE_BACKEND, NAIVE_BACKEND
@@ -80,9 +80,7 @@ def shared_predictor(
     predictor = IncrementalPredictor(CostAggregator(
         machine, SymbolTable.from_program(program), flags=flags, **kwargs,
     ))
-    _predictors[key] = predictor
-    while len(_predictors) > PREDICTOR_LIMIT:
-        _predictors.popitem(last=False)
+    _predictors.put(key, predictor)
     return predictor
 
 

@@ -17,7 +17,6 @@ from repro.cost import (
     place_batch,
     place_stream,
     reset_arenas,
-    reset_columnar_cache,
     reset_placement_cache,
     set_placement_kernel,
 )
@@ -33,7 +32,6 @@ FOCUS = 64
 
 def setup_function(_):
     reset_placement_cache()
-    reset_columnar_cache()
     reset_arenas()
 
 

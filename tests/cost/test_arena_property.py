@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cost import (
     place_batch,
-    reset_columnar_cache,
     reset_placement_cache,
 )
 from repro.cost.placement import _place_uncached
@@ -83,7 +82,6 @@ def _machine_and_batch(draw):
 def test_batch_path_matches_both_oracles(case):
     machine, batch, focus_span = case
     reset_placement_cache()
-    reset_columnar_cache()
     results = place_batch(machine, batch, focus_span, use_memo=False)
     for instrs, placed in zip(batch, results):
         legacy = _place_uncached(machine, instrs, focus_span, None, "legacy")

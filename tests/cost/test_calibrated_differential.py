@@ -18,7 +18,6 @@ from repro.calib import (
 from repro.cost import (
     place_batch,
     place_stream,
-    reset_columnar_cache,
     reset_placement_cache,
     set_placement_kernel,
 )
@@ -31,7 +30,6 @@ FOCUS = 64
 
 def setup_function(_):
     reset_placement_cache()
-    reset_columnar_cache()
 
 
 @pytest.fixture(scope="module")

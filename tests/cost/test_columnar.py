@@ -6,12 +6,9 @@ import pytest
 
 from repro.cost import (
     BinSet,
-    COLUMNAR_CACHE_LIMIT,
-    columnar_cache_stats,
     compile_stream,
     place_stream,
     placement_kernel,
-    reset_columnar_cache,
     reset_placement_cache,
     set_placement_kernel,
 )
@@ -26,7 +23,6 @@ from repro.translate.stream import Instr, InstrStream
 
 def setup_function(_):
     reset_placement_cache()
-    reset_columnar_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +110,6 @@ def test_unresolvable_deps_are_dropped():
     legacy = _place_uncached(machine, instrs, 64, None, "legacy")
     fused = _place_uncached(machine, instrs, 64, None, "fused")
     assert [op.time for op in fused.ops] == [op.time for op in legacy.ops]
-
-
-def test_compiled_stream_memo_hits_and_evicts():
-    machine = power_machine()
-    instrs = [Instr(0, "fpu_arith")]
-    compile_stream(machine, instrs)
-    hit = compile_stream(machine, instrs)
-    stats = columnar_cache_stats()
-    assert stats["hits"] == 1 and stats["misses"] == 1
-    assert compile_stream(machine, instrs) is hit
-    for k in range(COLUMNAR_CACHE_LIMIT + 4):
-        compile_stream(machine, [Instr(0, "fpu_arith"),
-                                 Instr(1 + k, "fxu_add")])
-    stats = columnar_cache_stats()
-    assert stats["entries"] == COLUMNAR_CACHE_LIMIT
-    assert stats["evictions"] >= 4
 
 
 def test_place_stream_accepts_compiled_and_instr_streams():
@@ -284,8 +264,6 @@ def test_summary_is_kernel_independent():
     machine = power_machine()
     instrs = [Instr(i, "fpu_arith", deps=(i - 1,) if i else ())
               for i in range(8)]
-    reset_columnar_cache()
     first = compile_stream(machine, instrs).summary
-    reset_columnar_cache()
     second = compile_stream(machine, instrs).summary
     assert first == second

@@ -39,19 +39,19 @@ def test_focus_span_is_part_of_the_key():
 
 def test_recalibrated_machine_misses(monkeypatch):
     """Same stream, retrained cost table -> the old entry must not match."""
-    from repro.cost import placement as placement_mod
+    from repro.machine import reset_compiled_ops
 
     machine = power_machine()
     place_stream(machine, _stream())
     assert placement_cache_stats()["misses"] == 1
 
-    placement_mod._fingerprints.clear()
+    reset_compiled_ops()
     monkeypatch.setattr(type(machine), "fingerprint",
                         lambda self: "deadbeefdeadbeef")
     try:
         place_stream(machine, _stream())
     finally:
-        placement_mod._fingerprints.clear()
+        reset_compiled_ops()
     stats = placement_cache_stats()
     assert stats["misses"] == 2 and stats["hits"] == 0
 
@@ -99,3 +99,47 @@ def test_eviction_keeps_the_memo_bounded():
     stats = placement_cache_stats()
     assert stats["entries"] == PLACEMENT_CACHE_LIMIT
     assert stats["evictions"] == 8
+
+
+def _spy_lowering(monkeypatch):
+    """Record every stream the fused kernel lowers to columns."""
+    from repro.cost import columnar
+
+    lowered = []
+    real = columnar._lower
+
+    def spy(ops, instrs, digest):
+        lowered.append(digest)
+        return real(ops, instrs, digest)
+
+    monkeypatch.setattr(columnar, "_lower", spy)
+    return lowered
+
+
+def test_estimating_a_block_twice_lowers_each_half_once(monkeypatch):
+    from repro.cost import StraightLineEstimator
+    from repro.translate.stream import InstrStream
+
+    lowered = _spy_lowering(monkeypatch)
+    block = InstrStream(_stream(6) + [Instr(6, "fxu_add", one_time=True)])
+    estimator = StraightLineEstimator(power_machine())
+    first = estimator.estimate(block)
+    assert len(lowered) == 2            # iterative half + invariant half
+    again = estimator.estimate(block)
+    assert len(lowered) == 2            # both halves answered by the memo
+    assert again.cycles == first.cycles
+    assert again.one_time_cycles == first.one_time_cycles
+
+
+def test_batch_never_lowers_a_memoized_stream(monkeypatch):
+    from repro.cost import place_batch
+
+    machine = power_machine()
+    warm = _stream(5)
+    place_stream(machine, warm)
+    lowered = _spy_lowering(monkeypatch)
+    fresh = [Instr(0, "fxu_add"), Instr(1, "fpu_arith", deps=(0,))]
+    results = place_batch(machine, [warm, fresh, warm])
+    assert lowered == [stream_digest(fresh)]
+    assert [r.cycles for r in results] == [
+        place_stream(machine, s).cycles for s in (warm, fresh, warm)]

@@ -355,3 +355,25 @@ def test_arena_gauges_exported(engine):
     assert engine.metrics.gauge("repro_arena_streams_total").value() == 3
     assert engine.metrics.gauge("repro_arena_dedup_total").value() == 2
     assert engine.metrics.gauge("repro_arena_drops_total").value() == 2
+
+
+def test_memo_gauges_cover_the_engine_caches(engine):
+    from repro.service import SweepRequest
+    from repro.service.metrics import parse_exposition
+
+    engine.predict(PredictRequest(source=SAXPY, bindings={"n": 100}))
+    engine.sweep(SweepRequest(source=SAXPY, widths=[1, 2],
+                              bindings={"n": 64}))
+    engine.restructure(RestructureRequest(source=SAXPY, workload={"n": 512},
+                                          depth=1, max_nodes=20))
+    engine.export_cache_metrics()
+    families = parse_exposition(engine.metrics.render())
+    entries = {dict(sample.labels)["cache"]: sample.value
+               for sample in families["repro_memo_entries"].samples}
+    assert {"result", "trace", "placement", "compiled_ops", "family_member",
+            "sweep_symbolic", "stmt_digest", "predictor"} <= set(entries)
+    assert entries["result"] >= 3
+    for family in ("repro_memo_hits_total", "repro_memo_misses_total",
+                   "repro_memo_evictions_total"):
+        assert {dict(s.labels)["cache"] for s in families[family].samples} \
+            == set(entries)

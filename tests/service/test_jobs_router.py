@@ -57,6 +57,19 @@ def test_digest_memo_eviction_metrics_exported(tmp_path):
             assert values["repro_router_digest_memo_evictions_total"] >= 2
 
 
+def test_digest_memo_exported_as_a_memo_gauge(tmp_path):
+    with running_job_server(tmp_path / "store") as backend:
+        url = f"http://127.0.0.1:{backend.port}"
+        with running_router([url]) as router:
+            with router_client(router) as client:
+                client.predict(SAXPY)
+            _, text = http_get(router.port, "/metrics")
+            values = metrics_values(text)
+            assert values['repro_memo_entries{cache="router_digest"}'] >= 1
+            assert values['repro_memo_misses_total{cache="router_digest"}'] \
+                >= 1
+
+
 # ----------------------------------------------------------------------
 # job routing through the router
 
