@@ -8,9 +8,9 @@ Two questions, two floors (both gated by the ``calib-smoke`` CI job):
   of validation kernels with the recovered table.  Mean relative
   prediction error vs the oracle machine must be <= 5%;
 * is the sweep *amortised*: an 8-width ``/sweep`` through the engine
-  shares translation and batches arena placement across the family, so
-  its warm p50 must stay within 3x of a warm single-width ``/predict``
-  -- not the naive 8x of predicting each width separately.
+  shares translation and stream preparation across the family, so its
+  warm p50 must stay within 3x of a warm single-width ``/predict`` --
+  not the naive 8x of predicting each width separately.
 
 Besides ``E-CALIB.txt`` this writes
 ``benchmarks/results/BENCH_CALIB.json`` for the CI gate.
@@ -130,8 +130,8 @@ def _sweep_amortisation(reps):
     """Warm p50 of an 8-width engine sweep vs a single engine predict.
 
     Distinct bindings per rep keep every request a result-cache miss,
-    so the ratio measures the shared-translation + batched-placement
-    pipeline, not the cache.
+    so the ratio measures the shared-translation sweep pipeline, not
+    the cache.
     """
     engine = PredictionEngine(workers=0, cache_size=4096)
     try:

@@ -73,8 +73,8 @@ def test_fig3_bins_flushed_between_blocks(benchmark):
     machine = power_machine()
 
     def run():
-        first = place_stream(machine, FIG3_BODY)
-        second = place_stream(machine, FIG3_BODY)
+        first = place_stream(machine, FIG3_BODY, bins=BinSet(machine))
+        second = place_stream(machine, FIG3_BODY, bins=BinSet(machine))
         return first, second
 
     first, second = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -23,7 +23,7 @@ import random
 import time
 
 from repro.cost import BinSet, reset_placement_cache
-from repro.cost.placement import _place_uncached
+from repro.cost.placement import _drop_stream, _place_uncached
 from repro.machine.alpha import alpha_machine
 from repro.machine.power import power_machine
 from repro.machine.scalar import scalar_machine
@@ -90,8 +90,9 @@ def _throughput(size, reps, seed=7, rounds=3):
     either kernel runs, so the digest is precomputed here too -- the
     timed region is placement work only, for both kernels.  For the
     fused kernel that includes lowering the stream to columns, which
-    it does on every placement-memo miss.  Each kernel's wall time is
-    the best of ``rounds`` to shed scheduler noise.
+    it does on every placement-memo miss.  ``_drop_stream`` is exactly
+    a memo miss's work: no per-op tuple is built.  Each kernel's wall
+    time is the best of ``rounds`` to shed scheduler noise.
     """
     from repro.translate.stream import placement_digest
 
@@ -101,8 +102,8 @@ def _throughput(size, reps, seed=7, rounds=3):
     digest = placement_digest(instrs)
     reset_placement_cache()
     for kernel in ("legacy", "fused"):  # warm compilation + memos
-        _place_uncached(machine, instrs, FOCUS_SPAN, None, kernel,
-                        None, digest)
+        _drop_stream(machine, instrs, FOCUS_SPAN, BinSet(machine), kernel,
+                     None, digest)
     wall = {"legacy": None, "fused": None}
     # Rounds interleave the kernels so CPU frequency drift and noisy
     # neighbours hit both equally; the min is the honest figure.
@@ -110,8 +111,8 @@ def _throughput(size, reps, seed=7, rounds=3):
         for kernel in ("legacy", "fused"):
             t0 = time.perf_counter()
             for _ in range(reps):
-                _place_uncached(machine, instrs, FOCUS_SPAN, None, kernel,
-                                None, digest)
+                _drop_stream(machine, instrs, FOCUS_SPAN, BinSet(machine),
+                             kernel, None, digest)
             elapsed = time.perf_counter() - t0
             if wall[kernel] is None or elapsed < wall[kernel]:
                 wall[kernel] = elapsed

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ..cost.costblock import CostBlock
 from ..cost.estimator import BlockCost
-from ..cost.placement import PlacedBlock, PlacedOp
 from ..machine.machine import Machine
 from ..translate.stream import Instr, InstrStream
 
@@ -47,7 +46,7 @@ class OpCountEstimator:
             steady_cycles=cycles,  # no overlap credit, ever
             block=block,
             one_time_block=_fake_block(one_time),
-            placed=_fake_placed(self.machine.name, iterative, cycles),
+            placed=None,
         )
 
     def estimate_unrolled(self, stream: InstrStream, factor: int) -> BlockCost:
@@ -61,7 +60,7 @@ class OpCountEstimator:
             steady_cycles=cycles,
             block=_fake_block(cycles),
             one_time_block=CostBlock.empty(),
-            placed=_fake_placed(self.machine.name, [], cycles),
+            placed=None,
         )
 
     def recommend_unroll(self, stream: InstrStream, candidates=(1, 2, 4, 8)) -> int:
@@ -82,9 +81,3 @@ def _fake_block(cycles: int) -> CostBlock:
         bin_profiles={(UnitKind.ALU, 0): (0, cycles - 1)},
         bin_occupancy={(UnitKind.ALU, 0): cycles},
     )
-
-
-def _fake_placed(machine_name: str, instrs: list[Instr], cycles: int) -> PlacedBlock:
-    ops = tuple(PlacedOp(instr, t, t) for t, instr in enumerate(instrs))
-    return PlacedBlock(machine_name=machine_name, ops=ops,
-                       block=_fake_block(cycles))

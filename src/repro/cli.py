@@ -645,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="surrogate model artifact for --fidelity fast/auto")
     p.add_argument("--kernel", default=None,
                    choices=("fused", "legacy"),
-                   help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); both are bit-identical")
+                   help="placement kernel (default: fused; legacy is "
+                        "the bit-identical reference)")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",
@@ -660,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", help="bounds, e.g. n=1:1000")
     p.add_argument("--kernel", default=None,
                    choices=("fused", "legacy"),
-                   help="placement kernel (default: REPRO_PLACEMENT_KERNEL "
-                        "or fused); both are bit-identical")
+                   help="placement kernel (default: fused; legacy is "
+                        "the bit-identical reference)")
     p.add_argument("--json", action="store_true",
                    help="emit the service wire format")
     p.add_argument("--trace", metavar="FILE",

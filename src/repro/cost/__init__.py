@@ -5,7 +5,6 @@ with coverable/noncoverable costs, the signed-block slot data
 structure, cost-block shapes, and inter-block overlap estimation.
 """
 
-from .arena import arena_cache_stats, place_batch, reset_arenas
 from .bins import BinSet, Placement
 from .columnar import CompiledStream, StreamSummary, compile_stream
 from .costblock import CostBlock
@@ -31,10 +30,10 @@ __all__ = [
     "CompiledStream", "CostBlock", "DEFAULT_FOCUS_SPAN", "DEFAULT_SPAN",
     "EXHAUSTIVE_SPAN", "FAST_SPAN", "PLACEMENT_CACHE_LIMIT",
     "PlacedBlock", "PlacedOp", "Placement", "SlotArray",
-    "StraightLineEstimator", "StreamSummary", "arena_cache_stats",
+    "StraightLineEstimator", "StreamSummary",
     "combined_cycles", "compile_stream",
-    "max_overlap", "place_batch", "place_stream",
+    "max_overlap", "place_stream",
     "placement_cache_stats", "placement_kernel", "recommended_span",
-    "reset_arenas", "reset_placement_cache",
+    "reset_placement_cache",
     "set_placement_kernel", "steady_state_cycles", "stream_digest",
 ]

@@ -53,44 +53,6 @@ class BinSet:
         self._top = 0
 
     # ------------------------------------------------------------------
-    def clone(self) -> "BinSet":
-        """An independent copy of the bins (for arena prefix snapshots).
-
-        The machine and the ``_pipes_of`` index are immutable after
-        construction and therefore shared; every :class:`SlotArray` is
-        deep-copied so placements into the clone never disturb the
-        original (and vice versa).
-        """
-        twin = BinSet.__new__(BinSet)
-        twin.machine = self.machine
-        twin.arrays = {
-            bin_id: arr.clone() for bin_id, arr in self.arrays.items()
-        }
-        twin._pipes_of = self._pipes_of
-        twin._top = self._top
-        return twin
-
-    def restore_from(self, other: "BinSet") -> None:
-        """Snap this bin set's state back to ``other``'s, in place.
-
-        Both must belong to the same machine.  Unlike :meth:`clone`
-        this keeps every :class:`SlotArray` object's identity, so
-        component bindings resolved against these arrays stay valid --
-        the batch arena restores one working bin set per snapshot fork
-        instead of re-resolving against a fresh clone.
-        """
-        arrays = self.arrays
-        for bin_id, arr in other.arrays.items():
-            arrays[bin_id].restore_from(arr)
-        self._top = other._top
-
-    def reset(self) -> None:
-        """Empty every bin in place (identity-preserving flush)."""
-        for arr in self.arrays.values():
-            arr.reset()
-        self._top = 0
-
-    # ------------------------------------------------------------------
     def top(self) -> int:
         """One past the highest occupied slot across all bins (0 if empty)."""
         return self._top

@@ -57,7 +57,6 @@ __all__ = [
     "StreamSummary",
     "compile_stream",
     "drop_columns",
-    "drop_range",
 ]
 
 
@@ -401,50 +400,18 @@ def drop_columns(
     ``BinSet.place`` loop would (same fills, same running top).
     """
     n = len(stream.instrs)
+    op_ids = stream.op_ids
+    dep_ptr = stream.dep_ptr
+    dep_col = stream.deps
+    latency = ops.latency
+    resolved = _resolve(ops, bin_set)
+    names = ops.names
     times = [0] * n
     completions = [0] * n
-    drop_range(stream.op_ids, stream.dep_ptr, stream.deps, ops,
-               _resolve(ops, bin_set), bin_set, focus_span,
-               times, completions, 0, n)
-    return times, completions
-
-
-def drop_range(
-    op_ids,
-    dep_ptr,
-    dep_col,
-    ops: CompiledOps,
-    resolved,
-    bin_set: BinSet,
-    focus_span: int,
-    times: list[int],
-    completions: list[int],
-    lo: int,
-    hi: int,
-) -> None:
-    """The fused drop over instructions ``[lo, hi)`` of raw columns.
-
-    This is :func:`drop_columns` with the stream columns unbundled and
-    the iteration range made explicit, which is what the batch
-    placement arena (:mod:`repro.cost.arena`) needs: it concatenates
-    many streams into one set of columns (dep entries rebased to global
-    positions) and resumes a stream's drop at its shared-prefix
-    boundary, with ``times``/``completions[0:lo]`` and ``bin_set``
-    restored from a snapshot.  ``resolved`` is
-    ``_resolve(ops, bin_set)`` -- component bindings are per
-    :class:`BinSet`, so a caller that clones bins must re-resolve.
-
-    With ``lo=0``, ``hi=n``, and zeroed output columns this is the
-    exact ``drop_columns`` loop -- same fills, same running top, same
-    tie-breaks -- which is what keeps the arena bit-identical to the
-    per-stream kernels by construction.
-    """
-    latency = ops.latency
-    names = ops.names
     top = bin_set._top
-    j = dep_ptr[lo]
+    j = 0
 
-    for i in range(lo, hi):
+    for i in range(n):
         oid = op_ids[i]
         # Ready time: the max completion of this op's producers.  The
         # dep column is consumed left to right, so a rolling pointer
@@ -530,3 +497,4 @@ def drop_range(
         completions[i] = t + latency[oid]
 
     bin_set._top = top
+    return times, completions

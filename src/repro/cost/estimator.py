@@ -38,7 +38,7 @@ class BlockCost:
     steady_cycles: int
     block: CostBlock
     one_time_block: CostBlock
-    placed: PlacedBlock
+    placed: PlacedBlock | None
 
     @property
     def total_first_iteration(self) -> int:

@@ -16,21 +16,18 @@ Two implementations coexist:
 * the **fused columnar kernel** (:mod:`repro.cost.columnar`, default):
   precompiled per-machine op costs + flat stream columns + a lockstep
   multi-bin search;
-* the **legacy path** (``kernel="legacy"``): the original
-  per-instruction ``BinSet.place`` loop, kept as the readable reference
-  implementation and differential oracle.
+* the **legacy path** (``set_placement_kernel("legacy")``): the
+  original per-instruction ``BinSet.place`` loop, kept as the readable
+  reference implementation and differential oracle.
 
 Both produce bit-identical :class:`PlacedBlock` results (cycles, op
-times, pipe choices); ``REPRO_PLACEMENT_KERNEL=legacy`` flips the
-default to the oracle.  Many near-identical streams placed together
-(beam rounds, sweep pre-warms) can instead go through
-:func:`repro.cost.arena.place_batch`, which runs the fused kernel's
-drop loop with prefix sharing across the batch.
+times, pipe choices).  Answers read only a placement's ``cycles`` and
+``block``, so memoized placements carry no per-op tuple; ``.ops`` comes
+only from a placement into explicit ``bins``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from ..machine.compiled import compile_ops
@@ -59,10 +56,10 @@ stream_digest = placement_digest
 class PlacedOp(NamedTuple):
     """One operation's landing site and completion time.
 
-    A named tuple rather than a dataclass: placement builds one of
-    these per instruction on the hottest path in the repo, and
-    ``tuple.__new__`` beats a frozen dataclass's
-    ``object.__setattr__`` chain several-fold at equal immutability.
+    A named tuple rather than a dataclass: an unmemoized placement
+    builds one of these per instruction, and ``tuple.__new__`` beats a
+    frozen dataclass's ``object.__setattr__`` chain several-fold at
+    equal immutability.
     """
 
     instr: Instr
@@ -70,66 +67,19 @@ class PlacedOp(NamedTuple):
     completion: int
 
 
-class _LazyOps:
-    """Deferred per-op tuple: the kernels' raw result columns.
-
-    One cell may be shared by many :class:`PlacedBlock` views of the
-    same placement (the memo's ``_share``); whoever touches ``.ops``
-    first materializes the tuple *into the cell*, so every sharer sees
-    the identical object afterwards.
-    """
-
-    __slots__ = ("instrs", "times", "completions", "ops")
-
-    def __init__(self, instrs, times: list[int], completions: list[int]):
-        self.instrs = instrs
-        self.times = times
-        self.completions = completions
-        self.ops: tuple[PlacedOp, ...] | None = None
-
-    def materialize(self) -> tuple[PlacedOp, ...]:
-        ops = self.ops
-        if ops is None:
-            ops = self.ops = tuple(
-                map(PlacedOp, self.instrs, self.times, self.completions))
-        return ops
-
-
-class PlacedBlock:
+class PlacedBlock(NamedTuple):
     """Result of placing a whole instruction stream.
 
-    ``ops`` is an immutable tuple: cached placements share it directly
-    (no per-hit copy), and the type itself enforces the "callers must
-    not mutate the memo's master" contract.  The columnar kernels hand
-    over their raw time/completion columns instead of a prebuilt tuple
-    (``lazy=``): search reads only ``cycles``/``block`` for the vast
-    majority of candidates, so the 200-odd :class:`PlacedOp` objects
-    per stream are built on first ``.ops`` access -- once, even across
-    shared memo views.
+    Immutable, so the placement memo hands its stored object to every
+    hit.  ``ops`` is empty on memoized placements: no answer reads it,
+    and keeping it would pin every placed stream's :class:`Instr`
+    objects in the memo.  A placement into explicit ``bins`` (never
+    memoized) carries one :class:`PlacedOp` per instruction.
     """
 
-    __slots__ = ("machine_name", "block", "_ops", "_lazy")
-
-    def __init__(self, machine_name: str,
-                 ops: tuple[PlacedOp, ...] = (),
-                 block: CostBlock | None = None,
-                 *, lazy: _LazyOps | None = None):
-        self.machine_name = machine_name
-        self.block = block if block is not None else CostBlock.empty()
-        self._ops = None if lazy is not None else tuple(ops)
-        self._lazy = lazy
-
-    @property
-    def ops(self) -> tuple[PlacedOp, ...]:
-        ops = self._ops
-        if ops is None:
-            ops = self._ops = self._lazy.materialize()
-        return ops
-
-    @ops.setter
-    def ops(self, value: tuple[PlacedOp, ...]) -> None:
-        self._ops = tuple(value)
-        self._lazy = None
+    machine_name: str
+    ops: tuple[PlacedOp, ...]
+    block: CostBlock
 
     @property
     def cycles(self) -> int:
@@ -140,9 +90,7 @@ class PlacedBlock:
 # Kernel selection
 
 _KERNELS = ("fused", "legacy")
-_kernel = os.environ.get("REPRO_PLACEMENT_KERNEL", "fused")
-if _kernel not in _KERNELS:
-    _kernel = "fused"
+_kernel = "fused"
 
 
 def placement_kernel() -> str:
@@ -175,8 +123,8 @@ def set_placement_kernel(name: str) -> str:
 
 PLACEMENT_CACHE_LIMIT = 2048
 
-#: (machine fingerprint, stream digest, focus span) -> master placement.
-#: Callers only ever see :func:`_share` views of a master.
+#: (machine fingerprint, stream digest, focus span) -> placement, with
+#: ``ops == ()``.  A hit returns the stored object itself.
 _memo: BoundedCache[tuple[str, str, int], PlacedBlock] = \
     BoundedCache("placement", PLACEMENT_CACHE_LIMIT)
 
@@ -191,27 +139,11 @@ def reset_placement_cache() -> None:
     _memo.clear()
 
 
-def _share(placed: PlacedBlock) -> PlacedBlock:
-    """A caller-safe view of a cached placement.
-
-    The ops tuple (or the lazy cell it materializes from), the ops
-    themselves, and the summary block are all immutable or
-    materialize-once, so every field is shared; only the outer
-    (mutable) shell is fresh.
-    """
-    twin = PlacedBlock(placed.machine_name, (), placed.block)
-    twin._ops = placed._ops
-    twin._lazy = placed._lazy
-    return twin
-
-
 def place_stream(
     machine: Machine,
     instrs: list[Instr] | InstrStream | CompiledStream,
     focus_span: int = DEFAULT_FOCUS_SPAN,
     bins: BinSet | None = None,
-    *,
-    kernel: str | None = None,
 ) -> PlacedBlock:
     """Drop each instruction into the lowest feasible time slots.
 
@@ -227,19 +159,15 @@ def place_stream(
     predecessors but cannot sink below its producers' completions.
 
     Identical (machine, stream, focus span) placements are answered
-    from a bounded LRU; passing explicit ``bins`` (shared, possibly
-    pre-filled state) bypasses the memo.  ``instrs`` may be a
+    from a bounded LRU, and a memoized result has ``ops == ()``.
+    Passing explicit ``bins`` (shared, possibly pre-filled state)
+    bypasses the memo and returns every op.  ``instrs`` may be a
     pre-lowered :class:`~repro.cost.columnar.CompiledStream`, in which
-    case its cached digest is reused instead of re-hashed.  ``kernel``
-    overrides the process default ("fused" or "legacy"); both kernels
-    return bit-identical results, so they share the memo.
+    case its cached digest is reused instead of re-hashed.  Both
+    kernels return bit-identical results, so they share the memo.
     """
     if focus_span < 1:
         raise ValueError("focus span must be at least 1")
-    if kernel is None:
-        kernel = _kernel
-    elif kernel not in _KERNELS:
-        raise ValueError(f"unknown placement kernel {kernel!r}")
 
     compiled: CompiledStream | None = None
     digest: str | None = None
@@ -253,25 +181,26 @@ def place_stream(
     else:
         instr_list = instrs
 
-    key = None
-    if bins is None:
-        if digest is None:
-            digest = placement_digest(instr_list)
-        key = (compile_ops(machine).fingerprint, digest, focus_span)
-        hit = _memo.get(key)
-        if hit is not None:
-            # Memoized placements still announce the phase: traces and
-            # the cost.place histogram stay complete under a warm memo.
-            with trace_span("cost.place") as span:
-                if span.recording:
-                    span.set(machine=machine.name, ops=len(instr_list),
-                             focus_span=focus_span, cycles=hit.cycles,
-                             cached=True)
-            return _share(hit)
-    placed = _place_uncached(machine, instr_list, focus_span, bins,
-                             kernel, compiled, digest)
-    if key is not None:
-        _memo.put(key, _share(placed))
+    if bins is not None:
+        return _place_uncached(machine, instr_list, focus_span, bins,
+                               _kernel, compiled, digest)
+    if digest is None:
+        digest = placement_digest(instr_list)
+    key = (compile_ops(machine).fingerprint, digest, focus_span)
+    hit = _memo.get(key)
+    if hit is not None:
+        # Memoized placements still announce the phase: traces and
+        # the cost.place histogram stay complete under a warm memo.
+        with trace_span("cost.place") as span:
+            if span.recording:
+                span.set(machine=machine.name, ops=len(instr_list),
+                         focus_span=focus_span, cycles=hit.cycles,
+                         cached=True)
+        return hit
+    _, _, block = _drop_stream(machine, instr_list, focus_span,
+                               BinSet(machine), _kernel, compiled, digest)
+    placed = PlacedBlock(machine.name, (), block)
+    _memo.put(key, placed)
     return placed
 
 
@@ -284,31 +213,39 @@ def _place_uncached(
     compiled: CompiledStream | None = None,
     digest: str | None = None,
 ) -> PlacedBlock:
+    """One placement with every op, never memoized."""
+    bin_set = bins if bins is not None else BinSet(machine)
+    times, completions, block = _drop_stream(
+        machine, instr_list, focus_span, bin_set, kernel, compiled, digest)
+    ops = tuple(map(PlacedOp, instr_list, times, completions))
+    return PlacedBlock(machine.name, ops, block)
+
+
+def _drop_stream(
+    machine: Machine,
+    instr_list: list[Instr] | tuple[Instr, ...],
+    focus_span: int,
+    bin_set: BinSet,
+    kernel: str,
+    compiled: CompiledStream | None,
+    digest: str | None,
+) -> tuple[list[int], list[int], CostBlock]:
+    """Run one kernel into ``bin_set``: (times, completions, summary)."""
     with trace_span("cost.place") as span:
         if kernel == "fused":
-            bin_set = bins if bins is not None else BinSet(machine)
             if compiled is None:
                 compiled = compile_stream(machine, instr_list, digest)
             times, completions = drop_columns(
                 compiled, compile_ops(machine), bin_set, focus_span)
-            lazy = _LazyOps(compiled.instrs, times, completions)
         else:
-            bin_set = bins if bins is not None else BinSet(machine)
-            lazy = None
-            placed_ops = _place_legacy(machine, instr_list, focus_span,
-                                       bin_set)
-        if lazy is not None:
-            placed = PlacedBlock(machine_name=machine.name, lazy=lazy)
-            placed.block = _summarize(bin_set, (), lazy.times,
-                                      lazy.completions)
-        else:
-            placed = PlacedBlock(machine_name=machine.name, ops=placed_ops)
-            placed.block = _summarize(bin_set, placed_ops)
+            times, completions = _place_legacy(machine, instr_list,
+                                               focus_span, bin_set)
+        block = _summarize(bin_set, times, completions)
         if span.recording:
             span.set(machine=machine.name, ops=len(instr_list),
-                     focus_span=focus_span, cycles=placed.cycles,
+                     focus_span=focus_span, cycles=block.cycles,
                      kernel=kernel)
-    return placed
+    return times, completions, block
 
 
 def _place_legacy(
@@ -316,44 +253,39 @@ def _place_legacy(
     instr_list: list[Instr] | tuple[Instr, ...],
     focus_span: int,
     bin_set: BinSet,
-) -> tuple[PlacedOp, ...]:
-    """The reference implementation: one ``BinSet.place`` per instruction."""
-    completions: dict[int, int] = {}
-    placed_ops: list[PlacedOp] = []
+) -> tuple[list[int], list[int]]:
+    """The reference implementation: one ``BinSet.place`` per instruction.
+
+    Returns the same (start time, completion) columns as
+    :func:`~repro.cost.columnar.drop_columns`.
+    """
+    done: dict[int, int] = {}
+    times: list[int] = []
+    completions: list[int] = []
     for instr in instr_list:
         op = machine.atomic(instr.atomic)
         ready = 0
         for dep in instr.deps:
-            dep_done = completions.get(dep, 0)
+            dep_done = done.get(dep, 0)
             if dep_done > ready:
                 ready = dep_done
         floor = bin_set.top() - focus_span
         earliest = max(ready, floor, 0)
         placement = bin_set.place(op.costs, earliest)
         completion = placement.time + op.result_latency
-        completions[instr.index] = completion
-        placed_ops.append(PlacedOp(instr, placement.time, completion))
-    return tuple(placed_ops)
+        done[instr.index] = completion
+        times.append(placement.time)
+        completions.append(completion)
+    return times, completions
 
 
 def _summarize(
     bin_set: BinSet,
-    ops: tuple[PlacedOp, ...],
-    times: list[int] | None = None,
-    completions: list[int] | None = None,
+    times: list[int],
+    completions: list[int],
 ) -> CostBlock:
-    """Summary block for one placement.
-
-    The columnar kernels already hold the start/completion columns as
-    plain int lists; they pass those (with ``ops=()``) so the summary
-    never touches -- or forces -- the per-op tuple.  The legacy path,
-    which has only ``ops``, omits the columns.
-    """
-    if completions is None:
-        if not ops:
-            return CostBlock.empty()
-        completions = [op.completion for op in ops]
-    elif not completions:
+    """Summary block for one placement, from its result columns."""
+    if not completions:
         return CostBlock.empty()
     profiles = {
         bin_id: span
@@ -362,7 +294,7 @@ def _summarize(
     }
     if not profiles:
         # Degenerate: only zero-noncoverable ops; anchor at first op time.
-        lo = min(times) if times is not None else min(op.time for op in ops)
+        lo = min(times)
         return CostBlock(lo, lo, max(completions))
     lo = min(first for first, _ in profiles.values())
     occupied_hi = max(last for _, last in profiles.values()) + 1

@@ -224,56 +224,6 @@ class SlotArray:
             self._highest_filled = fill_end - 1
 
     # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def clone(self) -> "SlotArray":
-        """An independent copy sharing nothing mutable.
-
-        The batch placement arena snapshots bin state at shared-prefix
-        boundaries and forks sibling streams from the copy; a clone must
-        therefore behave exactly like the original under every later
-        ``fill``/``next_fit`` -- cells, bounds, totals, and the search
-        hint are all carried over verbatim.
-        """
-        twin = SlotArray.__new__(SlotArray)
-        twin.cells = self.cells[:]
-        twin._lowest_filled = self._lowest_filled
-        twin._highest_filled = self._highest_filled
-        twin.filled_total = self.filled_total
-        twin._hint = self._hint
-        return twin
-
-    def restore_from(self, other: "SlotArray") -> None:
-        """Overwrite this array's state with ``other``'s, in place.
-
-        The in-place counterpart of :meth:`clone`: object identity
-        survives, so anything bound to this array (the arena's resolved
-        per-op component bindings) keeps working while the state snaps
-        back to the snapshot's.
-        """
-        self.cells[:] = other.cells
-        self._lowest_filled = other._lowest_filled
-        self._highest_filled = other._highest_filled
-        self.filled_total = other.filled_total
-        self._hint = other._hint
-
-    def reset(self) -> None:
-        """Empty every slot, keeping identity and grown capacity.
-
-        Stamps one empty block over the whole array; interior cells are
-        never read (only block boundaries carry meaning), so they may
-        keep stale values.
-        """
-        cells = self.cells
-        value = -len(cells)
-        cells[0] = value
-        cells[-1] = value
-        self._lowest_filled = None
-        self._highest_filled = None
-        self.filled_total = 0
-        self._hint = 0
-
-    # ------------------------------------------------------------------
     # Introspection for tests and benchmarks
     # ------------------------------------------------------------------
     def as_bools(self) -> list[bool]:

@@ -16,11 +16,10 @@ into one fixed-width vector per (program, machine) request:
   bindings.  The exact cost is ``sum(trips_b * cycles_b) + fixed``
   per block, so the true function is close to *linear* in this basis
   -- which is what lets a ridge model fit it tightly;
-* block summaries come from the compiled-stream memo, which is keyed
-  by (machine fingerprint, placement digest) -- the same columns every
-  placement path consumes -- so feature vectors are identical under
-  the ``legacy`` and ``fused`` kernels and batch placement *by
-  construction*;
+* block summaries come from stream lowering
+  (:func:`~repro.cost.columnar.compile_stream`), which runs before any
+  placement kernel, so feature vectors are identical under the
+  ``legacy`` and ``fused`` kernels *by construction*;
 * op names hash into a fixed number of buckets
   (:data:`OP_BUCKETS`, stable blake2b hash, never the salted builtin
   ``hash``), so the width is machine-independent.

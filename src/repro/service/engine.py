@@ -59,7 +59,6 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from ..cost.arena import arena_cache_stats
 from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest, stmts_digest
 from ..ir.parser import ParseError, parse_program
@@ -1200,31 +1199,6 @@ class PredictionEngine:
             "Resident placement-memo entries (engine process).").set(
             placement_cache_stats()["entries"])
         export_memo_metrics(self.metrics)
-        arena = arena_cache_stats()
-        self.metrics.gauge(
-            "repro_arena_streams_total",
-            "Streams placed through the batch arena (engine process).").set(
-            arena["streams"])
-        self.metrics.gauge(
-            "repro_arena_dedup_total",
-            "Batch-identical streams answered by dedup (engine process).").set(
-            arena["dedup"])
-        self.metrics.gauge(
-            "repro_arena_memo_hits_total",
-            "Arena batch slots answered by the placement memo "
-            "(engine process).").set(arena["memo_hits"])
-        self.metrics.gauge(
-            "repro_arena_prefix_reuses_total",
-            "Arena drops resumed from a shared-prefix snapshot "
-            "(engine process).").set(arena["prefix_reuses"])
-        self.metrics.gauge(
-            "repro_arena_prefix_ops_saved_total",
-            "Instruction drops skipped via prefix snapshots "
-            "(engine process).").set(arena["prefix_ops_saved"])
-        self.metrics.gauge(
-            "repro_arena_drops_total",
-            "Instructions actually dropped by the arena "
-            "(engine process).").set(arena["drops"])
         from ..calib import calibration_stats
         from ..sweep import sweep_stats
 
@@ -1241,10 +1215,6 @@ class PredictionEngine:
             "Translations replayed from the sweep facade instead of "
             "re-translated (engine process).").set(
             sweep["shared_translations"])
-        self.metrics.gauge(
-            "repro_sweep_batched_streams_total",
-            "Streams pre-warmed via batched arena placement during sweeps "
-            "(engine process).").set(sweep["batched_streams"])
         self.metrics.gauge(
             "repro_sweep_symbolic_hits_total",
             "Sweeps served from the memoized symbolic ladder "

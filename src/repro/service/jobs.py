@@ -431,47 +431,41 @@ class JobManager:
                                   result)
         except Exception:  # noqa: BLE001 -- cache warming is best-effort
             pass
-        with trace_span("job.finish", job_id=job_id, status="done"):
-            record = self.store.update(
-                job_id, status="done", result=result,
-                best_sequence=result.get("sequence"),
-                best_cost=result.get("cost"),
-                heartbeat=time.time(), finished=time.time())
-            self.store.append_event(job_id, self._stamp({
-                "job_id": job_id, "final": True, "status": "done",
-                "round": (record or {}).get("rounds", 0),
-                "best_sequence": result.get("sequence"),
-                "best_cost": result.get("cost"),
-            }, trace_info))
-            self.store.drop_checkpoint(job_id)
+        best = {"best_sequence": result.get("sequence"),
+                "best_cost": result.get("cost")}
+        self._finish(job_id, "done", best, result=result, **best)
         self._events.inc(event="completed")
 
     # -- terminal transitions -------------------------------------------
-    def _finish_cancelled(self, job_id: str) -> dict[str, Any] | None:
-        with trace_span("job.finish", job_id=job_id, status="cancelled"):
-            record = self.store.update(
-                job_id, status="cancelled", heartbeat=time.time(),
-                finished=time.time())
+    def _finish(self, job_id: str, status: str, event: dict[str, Any],
+                **fields: Any) -> dict[str, Any] | None:
+        """Append the final event, then write the terminal record.
+
+        In that order: a reader that sees a terminal status must find
+        the final event already in the log.
+        """
+        with trace_span("job.finish", job_id=job_id, status=status):
+            record = self.store.get(job_id) or {}
             self.store.append_event(job_id, self._stamp({
-                "job_id": job_id, "final": True, "status": "cancelled",
-                "round": (record or {}).get("rounds", 0),
-            }, (record or {}).get("trace") or {}))
+                "job_id": job_id, "final": True, "status": status,
+                "round": record.get("rounds", 0), **event,
+            }, record.get("trace") or {}))
+            updated = self.store.update(
+                job_id, status=status, heartbeat=time.time(),
+                finished=time.time(), **fields)
             self.store.drop_checkpoint(job_id)
+        return updated
+
+    def _finish_cancelled(self, job_id: str) -> dict[str, Any] | None:
+        record = self._finish(job_id, "cancelled", {})
         self._events.inc(event="cancelled")
         return record
 
     def _finish_error(self, job_id: str, envelope: dict[str, Any]) -> None:
-        with trace_span("job.finish", job_id=job_id, status="error"):
-            record = self.store.update(
-                job_id, status="error", error=envelope,
-                heartbeat=time.time(), finished=time.time())
-            self.store.append_event(job_id, self._stamp({
-                "job_id": job_id, "final": True, "status": "error",
-                "round": (record or {}).get("rounds", 0),
-                "error": envelope.get("error"),
-                "message": envelope.get("message"),
-            }, (record or {}).get("trace") or {}))
-            self.store.drop_checkpoint(job_id)
+        self._finish(job_id, "error", {
+            "error": envelope.get("error"),
+            "message": envelope.get("message"),
+        }, error=envelope)
         self._events.inc(event="failed")
 
     # -- observability --------------------------------------------------

@@ -12,11 +12,8 @@ the ladder shares almost everything:
   aggregator appends overhead instructions in place);
 * stream *preparation* (iterative/invariant splits, unroll
   replication, the synthetic bounds blocks) is computed once and
-  shared, so later widths reach the placement memo with pre-digested
-  streams -- placement becomes a dict probe;
-* placements for widths beyond the first are pre-warmed with a
-  **single batched placement** per width
-  (:func:`repro.cost.arena.place_batch`);
+  shared, so every width reaches the placement memo with pre-digested
+  streams;
 * widths whose scaled unit configurations coincide (placement is
   dispatch-width-blind) share one aggregation outright.
 
@@ -58,7 +55,7 @@ __all__ = ["SweepPoint", "SweepOutcome", "sweep_program", "sweep_stats"]
 
 #: Process-local sweep telemetry, exported as ``repro_sweep_*`` gauges.
 _STATS = {"sweeps": 0, "widths": 0, "shared_translations": 0,
-          "batched_streams": 0, "symbolic_hits": 0}
+          "symbolic_hits": 0}
 
 
 def sweep_stats() -> dict[str, int]:
@@ -88,7 +85,6 @@ class SweepOutcome:
     saturation_width: int
     instructions: float
     shared_translations: int
-    batched_streams: int
 
 
 class _SharedTranslation:
@@ -148,16 +144,13 @@ class _SweepEstimator(StraightLineEstimator):
     :class:`StraightLineEstimator` would rebuild per call are computed
     once per sweep, wrapped in :class:`InstrStream` so their placement
     digests are hashed once, and reused by every width -- later widths
-    reach the placement memo as pure dict probes.
+    probe the placement memo without rebuilding or re-hashing a stream.
     """
 
     def __init__(self, machine: Machine, focus_span: int, parts: dict):
         super().__init__(machine, focus_span)
         #: (digest, role) -> prepared InstrStream, shared per sweep.
         self._parts = parts
-
-    def prepared(self) -> list[InstrStream]:
-        return [stream for stream in self._parts.values() if len(stream)]
 
     def _prepare(self, key, build) -> InstrStream:
         stream = self._parts.get(key)
@@ -296,7 +289,6 @@ class _SymbolicSweep:
     placement_exprs: tuple[PerfExpr, ...]
     fingerprints: tuple[str, ...]
     shared_translations: int
-    batched_streams: int
 
 
 #: (cache_key, id(base), ladder, flags, focus_span) -> (base, symbolic).
@@ -326,22 +318,12 @@ def _build_symbolic(program, members, symtab, flags,
     # Placement is dispatch-width-blind, so widths whose scaled unit
     # configurations coincide share one symbolic aggregation.
     exprs_by_units: dict[tuple, PerfExpr] = {}
-    batched = 0
     placement_exprs: list[PerfExpr] = []
-    for position, member in enumerate(members):
+    for member in members:
         signature = tuple((unit.kind, unit.count) for unit in member.units)
         expr = exprs_by_units.get(signature)
         if expr is None:
             with trace_span("sweep.width") as span:
-                if position and parts:
-                    # One batched placement pre-warms the memo
-                    # for this width; aggregation then replays shared,
-                    # pre-digested streams as dict probes.
-                    from .cost.arena import place_batch
-
-                    prepared = [s for s in parts.values() if len(s)]
-                    place_batch(member, prepared, focus_span)
-                    batched += len(prepared)
                 aggregator = _SweepAggregator(member, symtab, flags,
                                               focus_span, bounds_memo)
                 aggregator.translator = shared
@@ -355,13 +337,11 @@ def _build_symbolic(program, members, symtab, flags,
         placement_exprs.append(expr)
 
     _STATS["shared_translations"] += shared.hits
-    _STATS["batched_streams"] += batched
     return _SymbolicSweep(
         count_expr=count_expr,
         placement_exprs=tuple(placement_exprs),
         fingerprints=tuple(m.fingerprint() for m in members),
         shared_translations=shared.hits,
-        batched_streams=batched,
     )
 
 
@@ -457,5 +437,4 @@ def sweep_program(
         saturation_width=saturation,
         instructions=instructions,
         shared_translations=symbolic.shared_translations,
-        batched_streams=symbolic.batched_streams,
     )

@@ -1,10 +1,10 @@
 """Differential tests: calibrated machines across placement kernels.
 
-A calibrated cost table must be a drop-in machine: every placement
-path (legacy, fused, batch placement) must produce *bit-identical*
-placements for it, and swapping a recalibrated table under the same
-machine name must invalidate -- not corrupt -- the placement memo and
-the service result cache.
+A calibrated cost table must be a drop-in machine: both placement
+kernels (legacy, fused) must produce *bit-identical* placements for
+it, and swapping a recalibrated table under the same machine name
+must invalidate -- not corrupt -- the placement memo and the service
+result cache.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.calib import (
     result_to_payload,
 )
 from repro.cost import (
-    place_batch,
     place_stream,
     reset_placement_cache,
     set_placement_kernel,
@@ -82,14 +81,6 @@ def test_kernels_bit_identical_on_calibrated_machine(calibrated):
         finally:
             set_placement_kernel(previous)
     assert results["legacy"] == results["fused"]
-
-
-def test_arena_batch_matches_single_placements(calibrated):
-    streams = _streams(calibrated)
-    single = [_snapshot(place_stream(calibrated, s, FOCUS)) for s in streams]
-    reset_placement_cache()
-    batched = [_snapshot(p) for p in place_batch(calibrated, streams, FOCUS)]
-    assert batched == single
 
 
 def test_placement_memo_safe_across_recalibration(calibrated):

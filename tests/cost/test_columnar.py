@@ -115,14 +115,13 @@ def test_unresolvable_deps_are_dropped():
 def test_place_stream_accepts_compiled_and_instr_streams():
     machine = power_machine()
     instrs = [Instr(0, "fpu_arith"), Instr(1, "fpu_arith", deps=(0,))]
-    via_list = place_stream(machine, instrs)
-    reset_placement_cache()
-    via_compiled = place_stream(machine, compile_stream(machine, instrs))
-    reset_placement_cache()
+    via_list = place_stream(machine, instrs, bins=BinSet(machine))
+    via_compiled = place_stream(machine, compile_stream(machine, instrs),
+                                bins=BinSet(machine))
     stream = InstrStream()
     for i in instrs:
         stream.append(i.atomic, deps=i.deps)
-    via_stream = place_stream(machine, stream)
+    via_stream = place_stream(machine, stream, bins=BinSet(machine))
     assert via_compiled.cycles == via_list.cycles == via_stream.cycles
     assert [op.time for op in via_compiled.ops] == [op.time for op in via_list.ops]
 
@@ -201,9 +200,6 @@ def test_kernel_selection_round_trip():
         set_placement_kernel(previous)
     with pytest.raises(ValueError):
         set_placement_kernel("vectorized")
-    with pytest.raises(ValueError):
-        place_stream(power_machine(), [Instr(0, "fpu_arith")],
-                     kernel="vectorized")
 
 
 def test_drop_columns_advances_the_running_top():

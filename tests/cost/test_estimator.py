@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import StraightLineEstimator, place_stream, recommended_span
+from repro.cost import (
+    BinSet,
+    StraightLineEstimator,
+    place_stream,
+    recommended_span,
+)
 from repro.cost.focus import DEFAULT_SPAN, EXHAUSTIVE_SPAN, FAST_SPAN
 from repro.machine import get_machine, power_machine
 from repro.translate.stream import Instr, InstrStream
@@ -125,7 +130,7 @@ def random_streams(draw):
 @settings(max_examples=60, deadline=None)
 def test_placement_respects_dependences(instrs):
     machine = power_machine()
-    placed = place_stream(machine, instrs)
+    placed = place_stream(machine, instrs, bins=BinSet(machine))
     for op in placed.ops:
         for dep in op.instr.deps:
             assert op.time >= placed.ops[dep].completion

@@ -24,7 +24,7 @@ def test_two_independent_fadds_pipeline():
     placed = place_stream(machine, [
         Instr(0, "fpu_arith"),
         Instr(1, "fpu_arith"),
-    ])
+    ], bins=BinSet(machine))
     assert placed.ops[0].time == 0
     assert placed.ops[1].time == 1
     assert placed.cycles == 3
@@ -36,7 +36,7 @@ def test_dependent_fadds_serialize():
     placed = place_stream(machine, [
         Instr(0, "fpu_arith"),
         Instr(1, "fpu_arith", deps=(0,)),
-    ])
+    ], bins=BinSet(machine))
     assert placed.ops[1].time == 2
     assert placed.cycles == 4
 
@@ -64,7 +64,7 @@ def test_load_and_fadd_overlap_across_units():
     placed = place_stream(machine, [
         Instr(0, "lsu_load"),
         Instr(1, "fpu_arith"),
-    ])
+    ], bins=BinSet(machine))
     assert placed.ops[0].time == 0
     assert placed.ops[1].time == 0
     assert placed.cycles == 2
@@ -86,7 +86,7 @@ def test_multi_unit_simultaneous_fit():
     placed = place_stream(machine, [
         Instr(0, "fxu_add"),     # occupies FXU slot 0
         Instr(1, "fpu_store"),   # needs FPU and FXU at the same t -> t=1
-    ])
+    ], bins=BinSet(machine))
     assert placed.ops[1].time == 1
 
 
@@ -106,7 +106,7 @@ def test_figure3_fma_loop_body():
         Instr(4, "fpu_store", deps=(3,), tag="store c(1)"),
         Instr(5, "branch", tag="loop branch"),
     ]
-    placed = place_stream(machine, instrs)
+    placed = place_stream(machine, instrs, bins=BinSet(machine))
     times = {i.instr.tag: i.time for i in placed.ops}
     assert times["load a(1)"] == 0
     assert times["load b(1)"] == 1
@@ -155,8 +155,9 @@ def test_focus_span_limits_backfill():
         [Instr(i, "fxu_mul5", deps=(i - 1,) if i else ()) for i in range(8)]
         + [Instr(8, "fpu_arith")]
     )
-    wide = place_stream(machine, instrs, focus_span=1 << 20)
-    narrow = place_stream(machine, instrs, focus_span=4)
+    wide = place_stream(machine, instrs, focus_span=1 << 20,
+                        bins=BinSet(machine))
+    narrow = place_stream(machine, instrs, focus_span=4, bins=BinSet(machine))
     fpu_wide = wide.ops[8].time
     fpu_narrow = narrow.ops[8].time
     assert fpu_wide == 0                      # backfills to the bottom

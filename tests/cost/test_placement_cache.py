@@ -1,5 +1,10 @@
 """The placement memo: keying, sharing, and bypass semantics."""
 
+import gc
+import weakref
+
+import pytest
+
 from repro.cost import (
     BinSet,
     PLACEMENT_CACHE_LIMIT,
@@ -27,7 +32,7 @@ def test_repeat_stream_hits():
     stats = placement_cache_stats()
     assert stats == {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
     assert second.cycles == first.cycles
-    assert [op.time for op in second.ops] == [op.time for op in first.ops]
+    assert second.block == first.block
 
 
 def test_focus_span_is_part_of_the_key():
@@ -66,21 +71,29 @@ def test_explicit_bins_bypass_the_memo():
     assert stats["hits"] == 0 and stats["misses"] == 0 and stats["entries"] == 0
 
 
-def test_cached_result_is_mutation_safe():
-    """The ops tuple is shared between hits; the type forbids mutation."""
-    import pytest
-
+def test_hits_share_one_immutable_answer():
+    """A hit returns the stored object itself: no ops, no copy per hit."""
     machine = power_machine()
     first = place_stream(machine, _stream())
     again = place_stream(machine, _stream())
-    assert isinstance(first.ops, tuple)
-    assert again.ops is first.ops          # shared, not copied per hit
+    assert again is first
+    assert again.ops == ()
     with pytest.raises(AttributeError):
-        first.ops.append("garbage")
-    # Reassigning a hit's *fields* must not corrupt the memo's master.
-    first.ops = ()
-    final = place_stream(machine, _stream())
-    assert len(final.ops) == len(_stream())
+        first.block = None
+    with pytest.raises(AttributeError):
+        first.ops = ()
+
+
+def test_memo_pins_no_placed_instr():
+    """A placed stream's Instr objects die with the caller's references."""
+    machine = power_machine()
+    instrs = _stream(6)
+    probe = weakref.ref(instrs[3])
+    placed = place_stream(machine, instrs)
+    assert placement_cache_stats()["entries"] == 1
+    del instrs, placed
+    gc.collect()
+    assert probe() is None
 
 
 def test_stream_digest_covers_deps_not_tags():
@@ -129,17 +142,3 @@ def test_estimating_a_block_twice_lowers_each_half_once(monkeypatch):
     assert len(lowered) == 2            # both halves answered by the memo
     assert again.cycles == first.cycles
     assert again.one_time_cycles == first.one_time_cycles
-
-
-def test_batch_never_lowers_a_memoized_stream(monkeypatch):
-    from repro.cost import place_batch
-
-    machine = power_machine()
-    warm = _stream(5)
-    place_stream(machine, warm)
-    lowered = _spy_lowering(monkeypatch)
-    fresh = [Instr(0, "fxu_add"), Instr(1, "fpu_arith", deps=(0,))]
-    results = place_batch(machine, [warm, fresh, warm])
-    assert lowered == [stream_digest(fresh)]
-    assert [r.cycles for r in results] == [
-        place_stream(machine, s).cycles for s in (warm, fresh, warm)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import random_stream
-from repro.cost import StraightLineEstimator, place_stream
+from repro.cost import BinSet, StraightLineEstimator, place_stream
 from repro.machine import get_machine, machine_names
 
 
@@ -14,8 +14,8 @@ def test_placement_deterministic(size, seed):
     """Same stream, same machine -> identical placement, always."""
     machine = get_machine("power")
     stream = random_stream(machine, size, seed=seed)
-    first = place_stream(machine, list(stream))
-    second = place_stream(machine, list(stream))
+    first = place_stream(machine, list(stream), bins=BinSet(machine))
+    second = place_stream(machine, list(stream), bins=BinSet(machine))
     assert first.cycles == second.cycles
     assert [op.time for op in first.ops] == [op.time for op in second.ops]
 

@@ -343,20 +343,6 @@ def test_batch_dedup_on_worker_pool():
         assert requests.value(kind="predict", outcome="deduplicated") == 5
 
 
-def test_arena_gauges_exported(engine):
-    from repro.cost import place_batch, reset_arenas
-    from repro.machine import power_machine
-    from repro.translate.stream import Instr
-
-    reset_arenas()
-    streams = [[Instr(0, "fpu_arith"), Instr(1, "fpu_arith", deps=(0,))]] * 3
-    place_batch(power_machine(), streams, use_memo=False)
-    engine.export_cache_metrics()
-    assert engine.metrics.gauge("repro_arena_streams_total").value() == 3
-    assert engine.metrics.gauge("repro_arena_dedup_total").value() == 2
-    assert engine.metrics.gauge("repro_arena_drops_total").value() == 2
-
-
 def test_memo_gauges_cover_the_engine_caches(engine):
     from repro.service import SweepRequest
     from repro.service.metrics import parse_exposition

@@ -269,8 +269,39 @@ def test_cancel_running_job_stops_at_round_boundary(engine, tmp_path):
         manager.close()
 
 
-# ----------------------------------------------------------------------
-# adoption + checkpoint resume
+@pytest.mark.parametrize("outcome", ["done", "cancelled", "error"])
+def test_final_event_is_logged_before_the_terminal_status(
+        engine, tmp_path, monkeypatch, outcome):
+    """A reader that sees a terminal status finds the final event."""
+    manager = make_manager(engine, tmp_path)
+    store = manager.store
+    real_update = store.update
+    terminal_writes = []
+
+    def spy(job_id, **fields):
+        finals = [e for e in store.events(job_id) if e.get("final")]
+        record = real_update(job_id, **fields)
+        if fields.get("status") in TERMINAL_STATUSES:
+            terminal_writes.append((fields["status"], finals))
+        return record
+
+    monkeypatch.setattr(store, "update", spy)
+    if outcome == "error":
+        monkeypatch.setattr(engine, "run_restructure_job", lambda *a, **k: {
+            "error": "SearchError", "message": "boom", "status": 500})
+    job_id = manager.submit({"source": SAXPY, "depth": 2})["job_id"]
+    try:
+        if outcome == "cancelled":
+            manager.cancel(job_id)   # queued here: finalized at once
+        else:
+            manager.start()
+        wait_for(lambda: terminal_writes)
+        assert manager.status(job_id)["status"] == outcome
+    finally:
+        manager.close()
+    [(status, finals)] = terminal_writes
+    assert status == outcome
+    assert [e["status"] for e in finals] == [outcome]
 
 
 def orphan_job(store, engine, payload, stop_after):
