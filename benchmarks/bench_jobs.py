@@ -6,8 +6,8 @@ of its foreground traffic, because
 
 * submission returns in milliseconds (the connection is not held for
   the life of the search, unlike the synchronous ``/restructure``), and
-* the searches run on the engine's worker processes, so tiny
-  ``/predict`` requests keep their fast path.
+* the searches run one at a time on a job-runner thread, so tiny
+  ``/predict`` requests share the interpreter with at most one search.
 
 Topology is real: one ``python -m repro serve --job-store ...`` process
 spawned here, driven through :class:`ReproClient` over the production
@@ -74,10 +74,10 @@ def _sample_predicts(client, count, offset):
 
 def _measure(samples_per_phase):
     store = tempfile.mkdtemp(prefix="bench-jobs-")
-    # Default job slots (``workers - 1``): the subsystem's own slot cap
-    # is what keeps four in-flight jobs from starving the foreground.
+    # Default job slots (one): the subsystem's own slot cap is what
+    # keeps four in-flight jobs from starving the foreground.
     with spawn_backend(
-        workers=2, cache_size=8,
+        cache_size=8,
         extra_args=("--job-store", store),
     ) as backend:
         with ReproClient(backend.url, timeout=120) as client:

@@ -96,13 +96,13 @@ def _drive(url: str, sources, passes: int) -> float:
 
 
 def _measure_single(sources, passes: int) -> float:
-    with spawn_backend(workers=0, cache_size=CACHE_SIZE) as backend:
+    with spawn_backend(cache_size=CACHE_SIZE) as backend:
         _drive(backend.url, sources, 1)          # reach steady state
         return _drive(backend.url, sources, passes)
 
 
 def _measure_sharded(sources, passes: int) -> float:
-    backends = spawn_backends(3, workers=0, cache_size=CACHE_SIZE)
+    backends = spawn_backends(3, cache_size=CACHE_SIZE)
     router = None
     try:
         router = _spawn_router([b.url for b in backends])

@@ -143,115 +143,3 @@ def test_incremental_makes_search_cheaper(benchmark):
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
     assert stats.hits > 0
     assert stats.hit_rate > 0.1
-
-
-# ----------------------------------------------------------------------
-# E-PSEARCH -- digest-keyed parallel search
-
-
-THREE_NEST = """
-program mm
-  integer n, i, j, k
-  real a(n,n), b(n,n), c(n,n)
-  do i = 1, n
-    do j = 1, n
-      do k = 1, n
-        c(i,j) = c(i,j) + a(i,k) * b(k,j)
-      end do
-    end do
-  end do
-end
-"""
-
-
-def _psearch_rows(depth, max_nodes, beam_width, workers):
-    """Serial vs parallel A* on the 3-deep nest; rows for E-PSEARCH."""
-    import os
-    import time
-
-    from repro.transform import (
-        Distribute, Fuse, ReorderStatements, UnrollAndJam, astar_search,
-    )
-
-    def transforms():
-        return [Unroll(factors=(2, 4)), UnrollAndJam(factors=(2, 4)),
-                Interchange(), StripMine(tiles=(16,)),
-                Fuse(), Distribute(), ReorderStatements()]
-
-    def run(search_workers):
-        prog = repro.parse_program(THREE_NEST)
-        t0 = time.perf_counter()
-        result = astar_search(
-            prog, transforms(), _predictor(prog),
-            workload={"n": 32}, max_depth=depth, max_nodes=max_nodes,
-            beam_width=beam_width, search_workers=search_workers,
-        )
-        return result, time.perf_counter() - t0
-
-    serial, serial_s = run(0)
-    parallel, parallel_s = run(workers)
-    rows = [
-        ("serial", serial.nodes_expanded, serial.nodes_generated,
-         serial.rounds, f"{serial_s:.2f}s",
-         f"{serial.nodes_generated / serial_s:.0f}", serial.sequence),
-        (f"{workers} workers", parallel.nodes_expanded,
-         parallel.nodes_generated, parallel.rounds, f"{parallel_s:.2f}s",
-         f"{parallel.nodes_generated / parallel_s:.0f}", parallel.sequence),
-    ]
-    speedup = serial_s / parallel_s
-    notes = (f"beam={beam_width} depth={depth}; speedup {speedup:.2f}x "
-             f"on {os.cpu_count()} core(s); results bit-identical: "
-             f"{parallel.sequence == serial.sequence}")
-    # The load-bearing invariant, asserted on any machine: where the
-    # batches were evaluated must not change what the search returns.
-    assert parallel.sequence == serial.sequence
-    assert str(parallel.cost) == str(serial.cost)
-    assert parallel.nodes_expanded == serial.nodes_expanded
-    return rows, notes, speedup
-
-
-def test_parallel_search_matches_serial(benchmark):
-    import os
-
-    rows, notes, speedup = benchmark.pedantic(
-        lambda: _psearch_rows(depth=3, max_nodes=250, beam_width=8, workers=4),
-        rounds=1, iterations=1,
-    )
-    emit_table(
-        "E-PSEARCH",
-        "Parallel digest-keyed A* vs serial (3-deep nest)",
-        ["mode", "expanded", "generated", "rounds", "wall", "nodes/s",
-         "sequence"],
-        rows, notes=notes,
-    )
-    if (os.cpu_count() or 1) >= 4:
-        assert speedup >= 3.0
-
-
-def main(argv=None):
-    """Standalone entry for the CI search-perf smoke: no pytest needed."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description="E-PSEARCH smoke")
-    parser.add_argument("--quick", action="store_true",
-                        help="small depth-2 run (CI smoke: asserts "
-                             "parallel == serial, records nodes/s)")
-    args = parser.parse_args(argv)
-    if args.quick:
-        rows, notes, _ = _psearch_rows(
-            depth=2, max_nodes=80, beam_width=4, workers=2)
-    else:
-        rows, notes, _ = _psearch_rows(
-            depth=3, max_nodes=250, beam_width=8, workers=4)
-    emit_table(
-        "E-PSEARCH",
-        "Parallel digest-keyed A* vs serial (3-deep nest)",
-        ["mode", "expanded", "generated", "rounds", "wall", "nodes/s",
-         "sequence"],
-        rows, notes=notes,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,13 +1,9 @@
-"""E-SERVICE -- serving-layer throughput: cache and worker scaling.
+"""E-SERVICE -- serving-layer throughput: the result cache.
 
-The service subsystem amortizes work two ways: a content-addressed
-result cache answers repeated requests without recomputation, and a
-worker pool runs independent requests concurrently.  This benchmark
-measures both on the Figure 7 kernel suite:
-
-* cold single requests vs a warm-cache batch (the acceptance bar is
-  warm batch throughput >= 5x cold single-request throughput);
-* 1-worker vs N-worker batch execution of uncached requests.
+A content-addressed result cache answers repeated requests without
+recomputation.  This benchmark measures it on the Figure 7 kernel
+suite: cold single requests vs a warm-cache batch (the acceptance bar
+is warm batch throughput >= 5x cold single-request throughput).
 """
 
 import time
@@ -35,7 +31,7 @@ def test_service_cold_vs_warm_cache(benchmark):
         # same process leave the shared predictor and placement memos
         # warm, which would flatter the cold phase.
         from repro.cost import reset_placement_cache
-        from repro.transform.parallel import _predictors
+        from repro.transform.incremental import _predictors
         _predictors.clear()
         reset_placement_cache()
 
@@ -74,147 +70,3 @@ def test_service_cold_vs_warm_cache(benchmark):
         notes=f"warm/cold throughput = {speedup:.1f}x (acceptance: >= 5x)",
     )
     assert speedup >= 5.0
-
-
-def test_service_worker_scaling(benchmark):
-    def run():
-        requests = _requests()
-        timings = {}
-        for workers in (1, 4):
-            engine = PredictionEngine(workers=workers, cache_size=256,
-                                      executor="auto")
-            t0 = time.perf_counter()
-            engine.batch(requests)
-            timings[workers] = time.perf_counter() - t0
-            engine.close()
-        return timings
-
-    timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        (f"{workers} worker(s)", f"{seconds * 1e3:.1f}ms",
-         f"{len(KERNELS) / seconds:.0f}")
-        for workers, seconds in sorted(timings.items())
-    ]
-    emit_table(
-        "E-SERVICE-WORKERS",
-        "Uncached batch of the Figure 7 suite, 1 vs 4 workers",
-        ["configuration", "batch time", "requests/s"],
-        rows,
-        notes="process-pool startup is amortized over a server's lifetime; "
-              "small batches may not beat inline execution.",
-    )
-    # Both configurations must complete the whole batch correctly; the
-    # scaling itself is informational (pool startup dominates tiny work).
-    assert all(seconds > 0 for seconds in timings.values())
-
-
-# ----------------------------------------------------------------------
-# E-SERVICE-MIX -- batch-aware scheduling vs naive one-task-per-request
-
-
-MATMUL = """
-program mm
-  integer n, i, j, k
-  real a(n,n), b(n,n), c(n,n)
-  do i = 1, n
-    do j = 1, n
-      do k = 1, n
-        c(i,j) = c(i,j) + a(i,k) * b(k,j)
-      end do
-    end do
-  end do
-end
-"""
-
-SAXPY = """
-program saxpy
-  integer n, i
-  real x(n), y(n), alpha
-  do i = 1, n
-    y(i) = y(i) + alpha * x(i)
-  end do
-end
-"""
-
-TINY_PREDICTS = 32
-
-
-def _mixed_items():
-    from repro.service import RestructureRequest
-    from repro.service.engine import _request_to_dict
-
-    heavy = ("restructure", _request_to_dict(RestructureRequest(
-        source=MATMUL, workload={"n": 16}, depth=3, max_nodes=120,
-        beam_width=4)))
-    tiny = [
-        ("predict", _request_to_dict(
-            PredictRequest(source=SAXPY, bindings={"n": n})))
-        for n in range(1, TINY_PREDICTS + 1)
-    ]
-    # The heavy request arrives first: the worst case for FIFO scheduling.
-    return [heavy] + tiny
-
-
-def _p95(samples):
-    ranked = sorted(samples)
-    return ranked[min(len(ranked) - 1, int(0.95 * len(ranked)))]
-
-
-def test_service_mixed_batch_scheduling(benchmark):
-    """One depth-3 restructure + 32 tiny predicts: tiny-request p95.
-
-    Under naive scheduling each request is one pool task awaited in
-    FIFO order, so every tiny response queues behind the restructure.
-    Weighted scheduling groups the tiny requests into chunks submitted
-    ahead of the split restructure's round tasks, streaming them back
-    (via ``on_result``) while the search is still running.
-    """
-    import os
-
-    def run():
-        # Untimed warm-up so the process-global predictor and placement
-        # memos do not favor whichever scheduling mode runs second.
-        with PredictionEngine(workers=0) as engine:
-            engine.handle_batch(_mixed_items())
-
-        out = {}
-        for scheduling in ("naive", "weighted"):
-            done = {}
-            t0 = time.perf_counter()
-            with PredictionEngine(workers=2, executor="thread",
-                                  cache_size=1,
-                                  scheduling=scheduling) as engine:
-                results = engine.handle_batch(
-                    _mixed_items(),
-                    on_result=lambda i, r: done.setdefault(
-                        i, time.perf_counter() - t0),
-                )
-            tiny = [done[i] for i in range(1, TINY_PREDICTS + 1)]
-            out[scheduling] = (results, _p95(tiny), done[0])
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    naive, weighted = out["naive"], out["weighted"]
-
-    # Correctness first: both modes return identical answers.
-    assert weighted[0][0]["sequence"] == naive[0][0]["sequence"]
-    assert weighted[0][0]["cost"] == naive[0][0]["cost"]
-    for result in weighted[0][1:]:
-        assert "error" not in result and result["cost"] == "3*n + 8"
-
-    improvement = naive[1] / weighted[1]
-    emit_table(
-        "E-SERVICE-MIX",
-        f"1 heavy restructure + {TINY_PREDICTS} tiny predicts, 2 workers",
-        ["scheduling", "tiny p95", "restructure", "tiny p95 speedup"],
-        [
-            ("naive", f"{naive[1] * 1e3:.1f}ms", f"{naive[2] * 1e3:.0f}ms",
-             "1.0x"),
-            ("weighted", f"{weighted[1] * 1e3:.1f}ms",
-             f"{weighted[2] * 1e3:.0f}ms", f"{improvement:.1f}x"),
-        ],
-        notes=f"tiny-request p95 improved {improvement:.1f}x on "
-              f"{os.cpu_count()} core(s); acceptance >= 2x on >= 4 cores.",
-    )
-    if (os.cpu_count() or 1) >= 4:
-        assert improvement >= 2.0

@@ -269,7 +269,6 @@ def _cmd_restructure(args: argparse.Namespace) -> int:
         max_nodes=args.max_nodes,
         domain=_parse_domain(args.domain) or None,
         beam_width=args.beam_width,
-        search_workers=args.search_workers,
     )
     print(f"sequence: {result.sequence}")
     print(f"cost: {result.cost}")
@@ -475,6 +474,17 @@ def _load_slo(path: str | None):
         raise SystemExit(f"bad --slo-config {path}: {error}")
 
 
+def _inline_workers(text: str) -> int:
+    """``serve --workers``: 0 or 1, both meaning inline execution."""
+    workers = int(text)
+    if workers not in (0, 1):
+        raise argparse.ArgumentTypeError(
+            f"must be 0 or 1 (both run requests inline), got {workers}; "
+            f"to use more cores, run several 'repro serve' shards behind "
+            f"'repro route'")
+    return workers
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import PredictionEngine, run_server
 
@@ -497,14 +507,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_size=args.cache_size,
         cache_path=args.cache_file,
-        executor=args.executor,
-        scheduling=args.scheduling,
         surrogate=surrogate,
     )
     if args.job_store:
-        # Fork the worker pool *before* the job runner threads exist --
-        # forking a threaded process is how deadlocks are made.
-        engine.start_workers()
         engine.attach_jobs(
             args.job_store,
             slots=args.job_slots or None,
@@ -531,7 +536,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     if args.spawn:
         from .service.cluster import spawn_backends
 
-        spawned = spawn_backends(args.spawn, workers=args.spawn_workers)
+        spawned = spawn_backends(args.spawn)
         backends.extend(backend.url for backend in spawned)
         for backend in spawned:
             print(f"spawned backend {backend.url} (pid {backend.process.pid})",
@@ -677,9 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=200)
     p.add_argument("--beam-width", type=int, default=1,
                    help="nodes expanded per search round (batched together)")
-    p.add_argument("--search-workers", type=int, default=0,
-                   help="worker processes for candidate evaluation "
-                        "(0/1 = inline)")
     p.add_argument("--server", metavar="URL",
                    help="run the search on a live service (backend or "
                         "router) instead of inline")
@@ -755,19 +757,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the HTTP/JSON prediction service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--workers", type=int, default=0,
-                   help="worker processes (0/1 = inline execution)")
+    p.add_argument("--workers", type=_inline_workers, default=0,
+                   help="0 or 1, both inline execution; for more cores "
+                        "run several shards behind 'repro route'")
     p.add_argument("--cache-size", type=int, default=1024,
                    help="max resident result-cache entries")
     p.add_argument("--cache-file",
                    help="JSON-lines persistence file for warm restarts")
-    p.add_argument("--executor", default="auto",
-                   choices=("auto", "process", "thread", "sync"))
-    p.add_argument("--scheduling", default="weighted",
-                   choices=("weighted", "naive"),
-                   help="batch scheduling: group light requests and split "
-                        "heavy restructures (weighted) or one task per "
-                        "request (naive)")
     p.add_argument("--slow-request-seconds", type=float, default=1.0,
                    help="log requests slower than this, with their span tree")
     p.add_argument("--no-tracing", action="store_true",
@@ -780,8 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "records/events/checkpoints in DIR (shards "
                         "sharing a DIR resume each other's jobs)")
     p.add_argument("--job-slots", type=int, default=0,
-                   help="concurrent job runners (default: workers-1, "
-                        "min 1)")
+                   help="concurrent job runners (default: 1)")
     p.add_argument("--job-stale-seconds", type=float, default=5.0,
                    help="heartbeat age after which another shard may "
                         "adopt a job")
@@ -834,8 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spawn", type=int, default=0, metavar="N",
                    help="also spawn N local backend processes on "
                         "ephemeral ports and route over them")
-    p.add_argument("--spawn-workers", type=int, default=0,
-                   help="worker processes per spawned backend")
     p.add_argument("--vnodes", type=int, default=64,
                    help="virtual nodes per backend on the hash ring")
     p.add_argument("--retries", type=int, default=2,

@@ -4,7 +4,7 @@ Turns the one-shot prediction library into long-lived infrastructure:
 
 * :class:`PredictionEngine` -- validates, caches, and executes
   predict / compare / restructure / kernels requests, singly or in
-  batches, over a process (or thread) worker pool;
+  batches, inline on the calling thread;
 * :class:`ResultCache` -- content-addressed LRU keyed by canonical
   program digest, with JSON-lines persistence for instant warm starts;
 * :mod:`~repro.service.protocol` -- strict wire dataclasses shared by
@@ -25,7 +25,7 @@ Quick start::
 
     from repro.service import PredictionEngine, PredictRequest
 
-    engine = PredictionEngine(workers=4, cache_size=4096)
+    engine = PredictionEngine(cache_size=4096)
     response = engine.predict(PredictRequest(source=saxpy_text))
     print(response.cost)          # "3*n + 8"
 

@@ -76,7 +76,6 @@ def _repo_env() -> dict[str, str]:
 
 def spawn_backend(
     *,
-    workers: int = 0,
     cache_size: int = 1024,
     host: str = "127.0.0.1",
     extra_args: tuple[str, ...] = (),
@@ -85,8 +84,7 @@ def spawn_backend(
     """Start one backend on an ephemeral port; block until it's healthy."""
     command = [
         sys.executable, "-u", "-m", "repro", "serve",
-        "--host", host, "--port", "0",
-        "--workers", str(workers), "--cache-size", str(cache_size),
+        "--host", host, "--port", "0", "--cache-size", str(cache_size),
         *extra_args,
     ]
     process = subprocess.Popen(

@@ -1,66 +1,37 @@
-"""The prediction engine: batched, concurrent, cached request execution.
+"""The prediction engine: batched, cached, inline request execution.
 
-Requests (predict / compare / restructure / kernels) come in as wire
-dicts or typed :mod:`protocol` dataclasses, singly or in batches.  The
-engine:
+Requests (predict / compare / restructure / kernels / sweep) come in as
+wire dicts or typed :mod:`protocol` dataclasses, singly or in batches.
+The engine:
 
 1. validates each request strictly at the boundary;
 2. computes its content-addressed cache key (canonical program digest
    + machine + back-end capability flags + evaluation point) and
-   answers hits without touching a worker; identical misses within a
+   answers hits without executing anything; identical misses within a
    batch execute once and fan back out;
-3. fans the misses out over a worker pool -- ``ProcessPoolExecutor``
-   for true CPU parallelism of the pure-Python cost model, degrading
-   automatically to threads (Windows spawn quirks, pickling edge
-   cases, broken pools) and to inline execution for ``workers <= 1``;
+3. runs each miss inline, on the calling thread, in batch order -- the
+   cost model is cheap enough for a compiler to call inside its
+   transformation search (paper section 3.2), and multi-core scale-out
+   is separate processes (``repro route`` over ``repro serve`` shards);
 4. stores fresh results back in the cache and reports counters and
    latencies to a :class:`~repro.service.metrics.MetricsRegistry`.
 
-Scheduling is *weight-classed* by default: a tiny predict and a
-depth-3 restructure differ by three orders of magnitude, so giving
-each its own pool task lets one heavy request occupy a worker for
-seconds while light requests queue behind it.  Instead the engine
-
-* groups light requests (predict / compare / small restructures) into
-  shared chunk tasks, amortizing pool overhead and keeping their
-  queueing delay bounded by a chunk, not a search;
-* splits each heavy restructure into per-round subtasks: the A* round
-  loop runs engine-side and ships every round's fresh candidates to
-  the shared pool in chunks capped at ``workers - 1``, so a single
-  request can never occupy the whole pool;
-* submits light chunks *before* heavy subtasks, so FIFO pools serve
-  them first.
-
-``scheduling="naive"`` restores one-task-per-request (the E-SERVICE
-bench compares the two).
-
-Workers keep a bounded pool of :class:`IncrementalPredictor` instances
-(:func:`~repro.transform.parallel.shared_predictor` -- the same LRU the
-parallel search uses), so repeated work on the same program -- other
-evaluation points, restructure probes -- reuses the paper's section
-3.3.1 affected-region cache instead of re-aggregating from scratch.
-Worker tasks also report their placement-memo hit/miss deltas, which
-the engine folds into ``repro_placement_cache_requests_total``.
+Every miss draws its :class:`IncrementalPredictor` from a bounded pool
+(:func:`~repro.transform.incremental.shared_predictor`), so repeated
+work on the same program -- other evaluation points, restructure
+probes -- reuses the paper's section 3.3.1 affected-region cache
+instead of re-aggregating from scratch.
 """
 
 from __future__ import annotations
 
 import logging
-import pickle
 import threading
 import time
-from concurrent.futures import (
-    CancelledError,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..cost.placement import placement_cache_stats
-from ..ir.digest import program_digest, stmts_digest
+from ..ir.digest import program_digest
 from ..ir.parser import ParseError, parse_program
 from ..ir.lexer import LexError
 from ..machine.registry import get_machine, machine_fingerprint
@@ -72,12 +43,7 @@ from ..obs import (
     trace_span,
 )
 from ..symbolic.poly import PolyError
-from ..transform.parallel import (
-    _chunked,
-    _predictors,
-    evaluate_chunk,
-    shared_predictor,
-)
+from ..transform.incremental import shared_predictor
 from .cache import ResultCache, endpoint_of
 from .metrics import MetricsRegistry, export_memo_metrics
 from .protocol import (
@@ -102,10 +68,7 @@ from .protocol import (
     response_to_dict,
 )
 
-__all__ = [
-    "PredictionEngine", "ServiceError", "execute_request",
-    "execute_request_chunk",
-]
+__all__ = ["PredictionEngine", "ServiceError", "execute_request"]
 
 #: Exceptions that mean "the client sent something invalid" (HTTP 400),
 #: as opposed to an internal fault (HTTP 500).
@@ -116,15 +79,6 @@ log = logging.getLogger("repro.service.engine")
 #: Cache entries live seconds to days; buckets for age telemetry.
 CACHE_AGE_BUCKETS = (1.0, 10.0, 60.0, 300.0, 1800.0, 3600.0, 21600.0, 86400.0)
 
-#: ``depth * max_nodes`` at which a restructure counts as heavy (worth
-#: splitting into per-round subtasks rather than riding in a chunk).
-_SPLIT_THRESHOLD = 100
-
-#: Smallest number of light requests (or search candidates) worth a
-#: pool task of their own; below this, chunks are merged.
-_GROUP_MIN = 4
-
-
 class ServiceError(Exception):
     """A request failed; carries the wire error envelope."""
 
@@ -134,12 +88,12 @@ class ServiceError(Exception):
 
 
 # ----------------------------------------------------------------------
-# worker-side execution (module-level so ProcessPoolExecutor can pickle)
+# request execution
 
 
 def _symbolic_cost(source: str, machine_name: str, backend: str,
                    include_memory: bool):
-    """(program, digest, symbolic cost), via the per-worker predictor pool."""
+    """(program, digest, symbolic cost), via the shared predictor pool."""
     program = parse_program(source)
     digest = program_digest(program)
     machine = get_machine(machine_name)
@@ -210,17 +164,11 @@ def _restructure_transformations() -> list:
 
 def _restructure_response(
     request: RestructureRequest,
-    evaluate_batch: Callable[[list], list] | None = None,
     *,
     on_round: Callable[[Any], Any] | None = None,
     resume_from: Any | None = None,
 ) -> RestructureResponse:
-    """The restructure endpoint's body, shared by both execution shapes.
-
-    Run whole on a worker (``evaluate_batch=None``), or engine-side
-    with each search round's candidate batch shipped to the pool (the
-    split path).  Either way the search is deterministic, so both
-    shapes produce the same response for the same request.
+    """The restructure endpoint's body.
 
     ``on_round`` and ``resume_from`` thread straight into
     :func:`~repro.transform.search.astar_search` -- the job subsystem
@@ -248,7 +196,6 @@ def _restructure_response(
         max_nodes=request.max_nodes,
         domain=parse_domain(request.domain) or None,
         beam_width=request.beam_width,
-        evaluate_batch=evaluate_batch,
         on_round=on_round,
         resume_from=resume_from,
     )
@@ -260,10 +207,6 @@ def _restructure_response(
         machine=request.machine,
         nodes_expanded=result.nodes_expanded,
     )
-
-
-def _do_restructure(request: RestructureRequest) -> RestructureResponse:
-    return _restructure_response(request)
 
 
 def _do_kernels(request: KernelsRequest) -> KernelsResponse:
@@ -324,7 +267,7 @@ def _do_sweep(request: SweepRequest) -> SweepResponse:
 _HANDLERS = {
     "predict": _do_predict,
     "compare": _do_compare,
-    "restructure": _do_restructure,
+    "restructure": _restructure_response,
     "kernels": _do_kernels,
     "sweep": _do_sweep,
 }
@@ -336,16 +279,13 @@ def execute_request(kind: str, payload: Mapping[str, Any],
                     ) -> dict[str, Any]:
     """Run one request end to end; never raises -- errors become envelopes.
 
-    This is the unit of work shipped to pool workers, so both the
-    argument and the return value are plain picklable dicts.  With
-    ``collect_trace``, the request runs under a fresh request-local
-    tracer and the finished spans travel back in the result under
-    ``"trace"`` -- the engine re-ingests them, since a worker process's
-    tracer (and metrics registry) dies with the worker.
-    ``trace_context`` is the caller's ``(trace_id, parent_span_id)``;
-    seeding the worker tracer with it keeps the worker's spans in the
-    same trace as the serving request, so exported traces stitch
-    across the process boundary.
+    With ``collect_trace``, the request runs under a fresh
+    request-local tracer and the finished spans travel back in the
+    result under ``"trace"`` -- the engine re-ingests them into any
+    active tracer, so a traced request's spans are reported once
+    either way.  ``trace_context`` is the caller's
+    ``(trace_id, parent_span_id)``; seeding the request-local tracer
+    with it keeps the spans in the serving request's trace.
     """
     if collect_trace:
         tracer = (Tracer(trace_id=trace_context[0],
@@ -356,38 +296,6 @@ def execute_request(kind: str, payload: Mapping[str, Any],
         result["trace"] = tracer.export()
         return result
     return _execute_one(kind, payload)
-
-
-def _placement_delta(before: Mapping[str, int],
-                     after: Mapping[str, int]) -> dict[str, int]:
-    return {"hits": after["hits"] - before["hits"],
-            "misses": after["misses"] - before["misses"]}
-
-
-def execute_request_chunk(jobs: Sequence[tuple[str, Mapping[str, Any]]],
-                          collect_trace: bool = False,
-                          trace_context: tuple[str, str | None] | None = None,
-                          ) -> dict[str, Any]:
-    """Run several light requests as one pool task.
-
-    A task per tiny predict pays pool round-trip overhead comparable to
-    the work itself; grouping amortizes it.  The worker also reports
-    its placement-memo hit/miss delta, which the engine cannot observe
-    across a process boundary.
-    """
-    before = placement_cache_stats()
-    results = [execute_request(kind, payload, collect_trace, trace_context)
-               for kind, payload in jobs]
-    return {"results": results,
-            "placement": _placement_delta(before, placement_cache_stats())}
-
-
-def _search_round_chunk(root, root_key, machine, programs) -> dict[str, Any]:
-    """Evaluate one slice of a split restructure's round batch."""
-    before = placement_cache_stats()
-    costs = evaluate_chunk(root, root_key, machine, programs)
-    return {"costs": costs,
-            "placement": _placement_delta(before, placement_cache_stats())}
 
 
 def _fast_path_trace(kind: str) -> list[dict[str, Any]]:
@@ -423,7 +331,7 @@ def _cache_hit_trace(kind: str) -> list[dict[str, Any]]:
 
 
 def _trace_ctx() -> tuple[str, str | None] | None:
-    """The ambient trace context as a picklable (trace_id, parent) tuple."""
+    """The ambient trace context as a (trace_id, parent) tuple."""
     ctx = current_context()
     if ctx is None:
         return None
@@ -437,12 +345,12 @@ def _execute_one(kind: str, payload: Mapping[str, Any]) -> dict[str, Any]:
             return response_to_dict(_HANDLERS[kind](request))
     except _CLIENT_ERRORS as error:
         return error_envelope(error, status=400)
-    except Exception as error:  # noqa: BLE001 -- envelope, don't crash a worker
+    except Exception as error:  # noqa: BLE001 -- envelope, keep serving
         return error_envelope(error, status=500)
 
 
 # ----------------------------------------------------------------------
-# cache keys (computed engine-side, before any worker is involved)
+# cache keys (computed before anything executes)
 
 
 def _canonical_mapping(raw: Mapping[str, Any] | None) -> str:
@@ -548,31 +456,16 @@ class _Pending(NamedTuple):
     request: Any
 
 
-def _is_heavy(entry: _Pending) -> bool:
-    """Weight class: does this request deserve a pool task of its own?"""
-    if entry.kind == "kernels":
-        return True
-    if entry.kind == "restructure":
-        request = entry.request
-        return request.depth * request.max_nodes >= _SPLIT_THRESHOLD
-    return False
-
-
 # ----------------------------------------------------------------------
 
 
 class PredictionEngine:
-    """Serve prediction requests with batching, caching, and workers.
+    """Serve prediction requests with batching and caching, inline.
 
-    ``workers <= 1`` executes inline (no pool) -- the right mode for
-    the CLI and for tests.  ``executor`` may force ``"process"``,
-    ``"thread"``, or ``"sync"``; the default ``"auto"`` picks processes
-    and falls back to threads if the pool cannot be used.
-
-    ``scheduling`` picks how a batch maps onto pool tasks:
-    ``"weighted"`` (default) groups light requests into shared chunks
-    and splits heavy restructures into per-round subtasks capped at
-    ``workers - 1`` slots; ``"naive"`` submits one task per request.
+    Every cache miss executes on the calling thread.  ``workers`` is
+    accepted for compatibility and must be 0 or 1 (both mean inline);
+    to use more cores, run several ``repro serve`` shards behind
+    ``repro route``.
     """
 
     def __init__(
@@ -580,17 +473,14 @@ class PredictionEngine:
         workers: int = 0,
         cache_size: int = 1024,
         cache_path: str | None = None,
-        executor: str = "auto",
         metrics: MetricsRegistry | None = None,
-        scheduling: str = "weighted",
         surrogate: Any = None,
     ):
-        if executor not in ("auto", "process", "thread", "sync"):
-            raise ValueError(f"unknown executor policy {executor!r}")
-        if scheduling not in ("weighted", "naive"):
-            raise ValueError(f"unknown scheduling policy {scheduling!r}")
-        self.workers = max(0, workers)
-        self.scheduling = scheduling
+        if workers not in (0, 1):
+            raise ValueError(
+                f"workers must be 0 or 1 (both run requests inline), got "
+                f"{workers}; to use more cores, run several 'repro serve' "
+                f"shards behind 'repro route'")
         self.cache = ResultCache(maxsize=cache_size, path=cache_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Learned fast tier (repro.learn.Surrogate) or None.  Serves
@@ -599,10 +489,6 @@ class PredictionEngine:
         self.surrogate = surrogate
         if surrogate is not None:
             surrogate.bind_metrics(self.metrics)
-        self._executor_policy = executor
-        self._pool: Executor | None = None
-        self._pool_kind = "sync"
-        self._pool_guard = threading.Lock()
         self._requests = self.metrics.counter(
             "repro_engine_requests_total",
             "Engine requests by kind and outcome.")
@@ -619,12 +505,9 @@ class PredictionEngine:
             "repro_cache_evicted_age_seconds",
             "Age of result-cache entries at eviction.",
             buckets=CACHE_AGE_BUCKETS)
-        self._tasks = self.metrics.counter(
-            "repro_engine_tasks_total",
-            "Worker-pool tasks submitted, by shape.")
         self._placement = self.metrics.counter(
             "repro_placement_cache_requests_total",
-            "Placement-memo lookups by result (engine + process workers).")
+            "Placement-memo lookups by result (engine process).")
         self._placement_guard = threading.Lock()
         base = placement_cache_stats()
         self._placement_seen = (base["hits"], base["misses"])
@@ -632,52 +515,12 @@ class PredictionEngine:
         #: Recent request traces by request id, behind /debug/trace.
         self.traces = TraceBuffer(capacity=64)
 
-    # -- pool management ------------------------------------------------
-    def start_workers(self) -> None:
-        """Spawn the worker pool now instead of at the first batch.
-
-        The server calls this *before* binding its listening socket:
-        forked workers must not inherit the socket fd, or they keep
-        the port bound (and black-hole connections) if the parent
-        dies without a clean shutdown.
-        """
-        self._ensure_pool()
-
-    def _ensure_pool(self) -> None:
-        if self._pool is not None or self.workers <= 1:
-            return
-        policy = self._executor_policy
-        if policy in ("auto", "process"):
-            try:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                self._pool_kind = "process"
-                return
-            except (OSError, ValueError):
-                if policy == "process":
-                    raise
-        if policy in ("auto", "thread", "process"):
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            self._pool_kind = "thread"
-
-    def _degrade_to_threads(self) -> None:
-        with self._pool_guard:
-            if self._pool_kind == "thread" and self._pool is not None:
-                return          # another thread already degraded
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            self._pool_kind = "thread"
-
     def close(self) -> None:
         if self.surrogate is not None:
             self.surrogate.close()
         if self.jobs is not None:
             self.jobs.close()
             self.jobs = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-            self._pool_kind = "sync"
 
     def __enter__(self) -> "PredictionEngine":
         return self
@@ -693,18 +536,13 @@ class PredictionEngine:
     def handle_batch(
         self,
         items: Sequence[tuple[str, Mapping[str, Any]]],
-        on_result: Callable[[int, dict[str, Any]], None] | None = None,
     ) -> list[dict[str, Any]]:
         """Serve a mixed batch; order of responses matches the input.
 
-        Cache hits are answered immediately; the misses run on the
-        worker pool concurrently (inline when ``workers <= 1``).
-        Identical misses (same cache key) within the batch execute
-        once: the first becomes the representative, the rest are
-        answered with copies when it finishes.  ``on_result`` fires
-        once per item, as its response becomes final -- in completion
-        order under weighted scheduling, so a caller can stream answers
-        out while heavy work is still running.
+        Cache hits are answered immediately; the misses then run inline,
+        in input order.  Identical misses (same cache key) within the
+        batch execute once: the first becomes the representative, the
+        rest are answered with copies when it finishes.
         """
         started = time.perf_counter()
         results: list[dict[str, Any] | None] = [None] * len(items)
@@ -718,8 +556,6 @@ class PredictionEngine:
         def resolve(index: int, kind: str, result: dict[str, Any]) -> None:
             results[index] = result
             self._latency.observe(time.perf_counter() - started, kind=kind)
-            if on_result is not None:
-                on_result(index, result)
 
         for index, (kind, payload) in enumerate(items):
             try:
@@ -770,22 +606,28 @@ class PredictionEngine:
             represented.add(key)
             pending.append(entry)
 
+        for entry in pending:
+            # Without a trace block to build, spans flow straight into
+            # any active tracer; with one, a request-local tracer
+            # collects them (and _finish re-ingests, so nothing is lost
+            # either way).
+            with trace_span("engine.execute", kind=entry.kind, cached=False):
+                result = execute_request(
+                    entry.kind, entry.payload, collect_trace=entry.want_trace,
+                    trace_context=_trace_ctx() if entry.want_trace else None)
+            resolve(entry.index, entry.kind, self._finish(entry, result))
+            for dup in followers.pop(entry.key, ()):
+                # ``result`` is the cache-bound copy: _finish popped any
+                # trace block, so followers stay trace-free.
+                self._requests.inc(kind=dup.kind, outcome="deduplicated")
+                resolve(dup.index, dup.kind, dict(result))
         if pending:
-            def finish(entry: _Pending, result: dict[str, Any]) -> None:
-                self._finish(entry, result, resolve)
-                for dup in followers.pop(entry.key, ()):
-                    # ``result`` is the cache-bound copy: _finish popped
-                    # any trace block, so followers stay trace-free.
-                    self._requests.inc(kind=dup.kind, outcome="deduplicated")
-                    resolve(dup.index, dup.kind, dict(result))
-
-            self._run_pending(pending, finish)
             self._sync_local_placement()
         return results  # type: ignore[return-value]
 
-    def _finish(self, entry: _Pending, result: dict[str, Any],
-                resolve: Callable[[int, str, dict[str, Any]], None]) -> None:
-        """Post-process one computed result (always on the batch thread)."""
+    def _finish(self, entry: _Pending,
+                result: dict[str, Any]) -> dict[str, Any]:
+        """Post-process one computed result; returns the response."""
         spans = result.pop("trace", None)
         if spans:
             tracer = current_tracer()
@@ -806,12 +648,8 @@ class PredictionEngine:
                     }},
                 )
         else:
-            evicted = self.cache.put(entry.key, result,
-                                     aux=_predict_aux(entry, result))
-            if evicted is not None:
-                self._cache_evicted.inc(endpoint=evicted.endpoint)
-                self._evicted_age.observe(
-                    evicted.age, endpoint=evicted.endpoint)
+            self.cache_result(entry.key, result,
+                              aux=_predict_aux(entry, result))
             if (self.surrogate is not None and entry.kind == "predict"
                     and result.get("cycles") is not None):
                 try:
@@ -823,205 +661,19 @@ class PredictionEngine:
                     pass    # symbolic/non-finite cycles: not a sample
             outcome = "computed"
             if entry.want_trace and spans is not None:
-                # Attach *after* cache.put so cached copies stay
+                # Attach *after* caching so cached copies stay
                 # trace-free (a replayed trace would be a lie).
                 final = {**result, "trace": spans}
         self._requests.inc(kind=entry.kind, outcome=outcome)
-        resolve(entry.index, entry.kind, final)
+        return final
 
-    # -- scheduling -----------------------------------------------------
-    def _run_pending(
-        self,
-        pending: Sequence[_Pending],
-        finish: Callable[[_Pending, dict[str, Any]], None],
-    ) -> None:
-        if self.workers <= 1 or not pending:
-            return self._run_inline(pending, finish)
-        self._ensure_pool()
-        if self._pool is None:
-            return self._run_inline(pending, finish)
-        # Workers cannot see this process's active tracer; have them
-        # collect spans locally whenever anyone is listening.  The
-        # ambient trace context rides along so worker-side spans stay
-        # in the serving request's trace.
-        collect = (current_tracer() is not None
-                   or any(entry.want_trace for entry in pending))
-        ctx = _trace_ctx() if collect else None
-        if self.scheduling == "naive":
-            self._run_naive(pending, finish, collect, ctx)
-        else:
-            self._run_weighted(pending, finish, collect, ctx)
-
-    def _run_inline(
-        self,
-        pending: Sequence[_Pending],
-        finish: Callable[[_Pending, dict[str, Any]], None],
-    ) -> None:
-        for entry in pending:
-            finish(entry, self._execute_inline(
-                entry.kind, entry.payload, entry.want_trace))
-
-    def _run_naive(
-        self,
-        pending: Sequence[_Pending],
-        finish: Callable[[_Pending, dict[str, Any]], None],
-        collect: bool,
-        ctx: tuple[str, str | None] | None = None,
-    ) -> None:
-        """One pool task per request, awaited in submission order."""
-        jobs = [(execute_request, (entry.kind, entry.payload, collect, ctx))
-                for entry in pending]
-        futures = [self._submit(fn, *args) for fn, args in jobs]
-        for entry, future, job in zip(pending, futures, jobs):
-            self._tasks.inc(shape="single")
-            with trace_span("engine.execute", kind=entry.kind, cached=False):
-                result = self._result_or_retry(future, job)
-            finish(entry, result)
-
-    def _run_weighted(
-        self,
-        pending: Sequence[_Pending],
-        finish: Callable[[_Pending, dict[str, Any]], None],
-        collect: bool,
-        ctx: tuple[str, str | None] | None = None,
-    ) -> None:
-        """Weight-classed scheduling: chunked light work, split heavy work.
-
-        Light chunks are submitted before any heavy subtask so a FIFO
-        pool serves them first; each heavy restructure is driven from
-        its own engine-side thread and may occupy at most
-        ``workers - 1`` pool slots per round, so light traffic always
-        has a free slot.  Results are finished on this thread, in
-        completion order.
-        """
-        light = [entry for entry in pending if not _is_heavy(entry)]
-        heavy = [entry for entry in pending if _is_heavy(entry)]
-        waiters: dict[Any, tuple[str, Any, Any]] = {}
-
-        if light:
-            chunk_count = min(self.workers, max(1, len(light) // _GROUP_MIN))
-            for group in _chunked(light, chunk_count):
-                jobs = [(entry.kind, entry.payload) for entry in group]
-                job = (execute_request_chunk, (jobs, collect, ctx))
-                waiters[self._submit(*_flatten(job))] = ("chunk", group, job)
-                self._tasks.inc(shape="chunk")
-        singles = [entry for entry in heavy if entry.kind != "restructure"]
-        splits = [entry for entry in heavy if entry.kind == "restructure"]
-        for entry in singles:
-            job = (execute_request, (entry.kind, entry.payload, collect, ctx))
-            waiters[self._submit(*_flatten(job))] = ("single", entry, job)
-            self._tasks.inc(shape="single")
-        drivers: ThreadPoolExecutor | None = None
-        if splits:
-            drivers = ThreadPoolExecutor(
-                max_workers=len(splits),
-                thread_name_prefix="restructure-driver")
-            for entry in splits:
-                future = drivers.submit(
-                    self._drive_restructure, entry, collect, ctx)
-                waiters[future] = ("driver", entry, None)
-                self._tasks.inc(shape="split")
-        try:
-            for future in as_completed(list(waiters)):
-                shape, target, job = waiters[future]
-                if shape == "chunk":
-                    outcome = self._result_or_retry(future, job)
-                    self._ingest_placement(outcome.get("placement"))
-                    for entry, result in zip(target, outcome["results"]):
-                        with trace_span("engine.execute", kind=entry.kind,
-                                        cached=False):
-                            finish(entry, result)
-                elif shape == "single":
-                    with trace_span("engine.execute", kind=target.kind,
-                                    cached=False):
-                        finish(target, self._result_or_retry(future, job))
-                else:
-                    with trace_span("engine.execute", kind=target.kind,
-                                    cached=False):
-                        finish(target, future.result())
-        finally:
-            if drivers is not None:
-                drivers.shutdown(wait=True)
-
-    def _drive_restructure(self, entry: _Pending, collect: bool,
-                           ctx: tuple[str, str | None] | None = None,
-                           ) -> dict[str, Any]:
-        """Run one heavy restructure engine-side (in a driver thread).
-
-        Mirrors :func:`execute_request` -- errors become envelopes,
-        spans are collected under a request-local tracer -- but the A*
-        round loop runs here and ships each round's candidate batch to
-        the shared pool.
-        """
-        def run() -> dict[str, Any]:
-            try:
-                request = entry.request
-                with trace_span("restructure", machine=request.machine):
-                    response = self._restructure_split(request)
-                return response_to_dict(response)
-            except _CLIENT_ERRORS as error:
-                return error_envelope(error, status=400)
-            except Exception as error:  # noqa: BLE001 -- envelope it
-                return error_envelope(error, status=500)
-
-        if collect:
-            tracer = (Tracer(trace_id=ctx[0], remote_parent_id=ctx[1])
-                      if ctx else Tracer())
-            with tracer.activate():
-                result = run()
-            result["trace"] = tracer.export()
-            return result
-        return run()
-
-    def _restructure_split(
-        self, request: RestructureRequest,
-        *,
-        on_round: Callable[[Any], Any] | None = None,
-        resume_from: Any | None = None,
-    ) -> RestructureResponse:
-        """The split execution shape: pool-evaluated search rounds.
-
-        Each round's fresh candidates go to the pool in at most
-        ``workers - 1`` chunks, leaving one slot free for light
-        chunks regardless of how long the search runs.  Pool failures
-        degrade this search to inline evaluation (same results).
-        """
-        cap = max(1, self.workers - 1)
-        program = parse_program(request.source)
-        machine = get_machine(request.machine)
-        root_key = ("search", stmts_digest(program.body),
-                    machine.fingerprint())
-        degraded = [False]
-
-        def evaluate(programs: list) -> list:
-            programs = list(programs)
-            if not programs:
-                return []
-            if degraded[0] or self._pool is None:
-                return evaluate_chunk(program, root_key, machine, programs)
-            chunks = _chunked(
-                programs, min(cap, max(1, len(programs) // _GROUP_MIN)))
-            try:
-                futures = [
-                    self._submit(_search_round_chunk, program, root_key,
-                                 machine, chunk)
-                    for chunk in chunks
-                ]
-                costs: list = []
-                for future in futures:
-                    outcome = future.result()
-                    self._ingest_placement(outcome.get("placement"))
-                    costs.extend(outcome["costs"])
-                self._tasks.inc(len(chunks), shape="search_round")
-                return costs
-            except (BrokenProcessPool, CancelledError, OSError,
-                    pickle.PicklingError, TypeError, AttributeError):
-                degraded[0] = True
-                return evaluate_chunk(program, root_key, machine, programs)
-
-        return _restructure_response(request, evaluate_batch=evaluate,
-                                     on_round=on_round,
-                                     resume_from=resume_from)
+    def cache_result(self, key: str, result: Mapping[str, Any],
+                     aux: Mapping[str, Any] | None = None) -> None:
+        """Store a computed answer, counting the entry it evicts."""
+        evicted = self.cache.put(key, result, aux=aux)
+        if evicted is not None:
+            self._cache_evicted.inc(endpoint=evicted.endpoint)
+            self._evicted_age.observe(evicted.age, endpoint=evicted.endpoint)
 
     # -- job execution --------------------------------------------------
     def run_restructure_job(
@@ -1034,23 +686,13 @@ class PredictionEngine:
         """Run one async job's search to completion (blocking).
 
         Called from a :class:`~repro.service.jobs.JobManager` runner
-        thread, never from the HTTP batch path.  With a worker pool,
-        each round's candidates are evaluated on at most ``workers - 1``
-        pool slots (the same cap split restructures use), so N
-        concurrent jobs still leave a slot free for light requests;
-        without one, evaluation runs inline on the runner thread.
-        Errors become envelopes, exactly like :func:`execute_request`.
+        thread, never from the HTTP batch path.  Errors become
+        envelopes, exactly like :func:`execute_request`.
         """
         try:
             with trace_span("restructure.job", machine=request.machine):
-                if self.workers > 1:
-                    self._ensure_pool()
-                if self._pool is not None and self.workers > 1:
-                    response = self._restructure_split(
-                        request, on_round=on_round, resume_from=resume_from)
-                else:
-                    response = _restructure_response(
-                        request, on_round=on_round, resume_from=resume_from)
+                response = _restructure_response(
+                    request, on_round=on_round, resume_from=resume_from)
             return response_to_dict(response)
         except _CLIENT_ERRORS as error:
             return error_envelope(error, status=400)
@@ -1076,52 +718,7 @@ class PredictionEngine:
             stale_after=stale_after).start()
         return self.jobs
 
-    # -- pool plumbing --------------------------------------------------
-    def _submit(self, fn, *args):
-        try:
-            return self._pool.submit(fn, *args)
-        except (BrokenProcessPool, OSError):
-            self._degrade_to_threads()
-            return self._pool.submit(fn, *args)
-
-    def _result_or_retry(self, future, job):
-        """Await a pool future; on a broken pool, degrade and re-run."""
-        fn, args = job
-        try:
-            return future.result()
-        except (BrokenProcessPool, CancelledError, OSError):
-            self._degrade_to_threads()
-            return self._pool.submit(fn, *args).result()
-
-    @staticmethod
-    def _execute_inline(kind: str, payload: dict[str, Any],
-                        want_trace: bool) -> dict[str, Any]:
-        # Without a trace block to build, spans flow straight into any
-        # active tracer; with one, a request-local tracer collects them
-        # (and handle_batch re-ingests, so nothing is lost either way).
-        with trace_span("engine.execute", kind=kind, cached=False):
-            return execute_request(
-                kind, payload, collect_trace=want_trace,
-                trace_context=_trace_ctx() if want_trace else None)
-
     # -- placement-memo telemetry --------------------------------------
-    def _ingest_placement(self, delta: Mapping[str, int] | None) -> None:
-        """Fold a worker task's placement-memo delta into the counter.
-
-        Thread workers and inline execution hit *this* process's memo,
-        which :meth:`_sync_local_placement` already counts; folding
-        their deltas too would double-count, so only process workers
-        report this way.
-        """
-        if not delta or self._pool_kind != "process":
-            return
-        hits = int(delta.get("hits", 0))
-        misses = int(delta.get("misses", 0))
-        if hits > 0:
-            self._placement.inc(hits, result="hit")
-        if misses > 0:
-            self._placement.inc(misses, result="miss")
-
     def _sync_local_placement(self) -> None:
         """Count engine-process placement-memo activity since last sync."""
         stats = placement_cache_stats()
@@ -1189,8 +786,6 @@ class PredictionEngine:
         self.metrics.gauge(
             "repro_cache_entries", "Resident result-cache entries.").set(
             len(self.cache))
-        self.metrics.gauge(
-            "repro_engine_workers", "Configured worker count.").set(self.workers)
         if self.surrogate is not None:
             self.surrogate.export_metrics()
         self._sync_local_placement()
@@ -1235,11 +830,6 @@ class PredictionEngine:
         age_hist.reset()  # snapshot of *current* residents, not cumulative
         for key, age in self.cache.entry_ages().items():
             age_hist.observe(age, endpoint=endpoint_of(key))
-
-
-def _flatten(job: tuple) -> tuple:
-    fn, args = job
-    return (fn, *args)
 
 
 def _request_to_dict(request: Any) -> dict[str, Any]:

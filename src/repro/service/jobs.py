@@ -6,10 +6,9 @@ search into background work:
 * ``submit`` validates a :class:`RestructureJobRequest`, writes a
   ``queued`` record to the :class:`~repro.service.jobstore.JobStore`,
   and returns immediately with a job id;
-* a fixed set of runner threads -- ``max(1, engine.workers - 1)`` by
-  default, mirroring the engine's heavy-request slot cap so job
-  searches can never starve light traffic of pool workers -- drains a
-  priority heap and drives each search through
+* a fixed set of runner threads -- one by default, so at most one
+  background search competes with foreground requests for the
+  interpreter -- drains a priority heap and drives each search through
   :meth:`PredictionEngine.run_restructure_job`;
 * every beam round boundary appends a best-so-far event, persists a
   versioned checkpoint, refreshes the heartbeat, and re-reads the
@@ -125,8 +124,7 @@ class JobManager:
     ):
         self.engine = engine
         self.store = store
-        self.slots = (slots if slots and slots > 0
-                      else max(1, engine.workers - 1))
+        self.slots = slots if slots and slots > 0 else 1
         self.stale_after = stale_after
         self.owner = owner or f"pid:{os.getpid()}.{uuid.uuid4().hex[:6]}"
         self.metrics = metrics if metrics is not None else engine.metrics
@@ -427,8 +425,8 @@ class JobManager:
         # Success: the job's answer is exactly what the synchronous
         # endpoint would have computed, so warm the result cache with it.
         try:
-            self.engine.cache.put(_cache_key("restructure", restructure),
-                                  result)
+            self.engine.cache_result(_cache_key("restructure", restructure),
+                                     result)
         except Exception:  # noqa: BLE001 -- cache warming is best-effort
             pass
         best = {"best_sequence": result.get("sequence"),

@@ -1,7 +1,7 @@
 """Dependency-free HTTP/JSON front end for the prediction engine.
 
 Built on :mod:`http.server` with ``ThreadingMixIn`` so each connection
-gets a thread while the engine's own pool handles CPU-bound work.
+gets a thread, on which the engine runs that connection's requests.
 
 Routes
 ------
@@ -640,10 +640,6 @@ def run_server(
 ) -> None:
     """Blocking serve loop with clean Ctrl-C/SIGTERM shutdown (the CLI path)."""
     configure_json_logging()
-    # Fork workers before binding so they never inherit the listening
-    # socket; otherwise an unclean parent death leaves orphans holding
-    # the port open and silently swallowing connections.
-    engine.start_workers()
     server = make_server(engine, host, port,
                          tracing=tracing,
                          slow_request_seconds=slow_request_seconds,

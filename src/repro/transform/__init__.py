@@ -10,9 +10,8 @@ from .base import (
     stmt_at,
 )
 from .fuse import Distribute, Fuse, distribute_loop, fuse_loops
-from .incremental import CacheStats, IncrementalPredictor
+from .incremental import CacheStats, IncrementalPredictor, shared_predictor
 from .interchange import Interchange, interchange_pair
-from .parallel import SearchPool, shared_predictor
 from .reorder import ReorderStatements
 from .search import (
     RoundProgress,
@@ -30,7 +29,7 @@ from .unroll_jam import UnrollAndJam, unroll_and_jam
 __all__ = [
     "CacheStats", "Distribute", "Fuse", "IncrementalPredictor",
     "Interchange", "Path", "ReorderStatements", "RoundProgress",
-    "SearchCheckpoint", "SearchPool",
+    "SearchCheckpoint",
     "SearchResult", "SearchStep", "StripMine", "Tile2D", "TransformSite",
     "Transformation", "TranspositionTable",
     "astar_search", "distribute_loop", "exhaustive_search", "fuse_loops",

@@ -12,16 +12,24 @@ root, so every untouched subtree compares equal to its old self.
 Caching ``cost_stmts`` by (statements, enclosing indices) therefore
 *is* the affected-region rule: exactly the changed region and its
 ancestors miss the cache.
+
+:func:`shared_predictor` keeps a bounded, process-wide pool of these
+predictors, so the service's predict path and every restructure search
+on the same program reuse one warm affected-region cache.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..aggregate.aggregator import CostAggregator
 from ..ir.nodes import Program, Stmt
-from ..obs.caches import CacheStats
+from ..ir.symtab import SymbolTable
+from ..machine.machine import Machine
+from ..obs.caches import BoundedCache, CacheStats
 from ..symbolic.expr import PerfExpr
 
-__all__ = ["CacheStats", "IncrementalPredictor"]
+__all__ = ["CacheStats", "IncrementalPredictor", "shared_predictor"]
 
 
 class IncrementalPredictor:
@@ -81,3 +89,46 @@ class IncrementalPredictor:
         """Drop the cache (e.g. after machine/flag changes)."""
         self._cache.clear()
         self.stats = CacheStats()
+
+
+#: Per-process predictor pool bound.  One entry per (program, machine,
+#: flags) combination the process has served.
+PREDICTOR_LIMIT = 64
+
+_predictors: BoundedCache[tuple, IncrementalPredictor] = \
+    BoundedCache("predictor", PREDICTOR_LIMIT)
+
+
+def shared_predictor(
+    key: tuple,
+    machine: Machine,
+    program: Program,
+    backend: str = "aggressive",
+    include_memory: bool = False,
+) -> IncrementalPredictor:
+    """The process-wide predictor for ``key``, built on first use.
+
+    ``key`` must identify everything that shapes predictions: the
+    program whose symbol table seeds the aggregator, the machine's cost
+    table, and the back-end flags.  The service engine's predict,
+    compare and restructure paths all route through this LRU, so a
+    process that has predicted a program once keeps its incremental
+    cache warm for every later probe of that program's variants.
+    """
+    predictor = _predictors.get(key)
+    if predictor is not None:
+        return predictor
+    from ..translate.backend_opts import AGGRESSIVE_BACKEND, NAIVE_BACKEND
+
+    flags = NAIVE_BACKEND if backend == "naive" else AGGRESSIVE_BACKEND
+    kwargs: dict[str, Any] = {}
+    if include_memory:
+        from ..memory.model import MemoryCostModel
+
+        kwargs["memory_model"] = MemoryCostModel(machine)
+        kwargs["include_memory"] = True
+    predictor = IncrementalPredictor(CostAggregator(
+        machine, SymbolTable.from_program(program), flags=flags, **kwargs,
+    ))
+    _predictors.put(key, predictor)
+    return predictor

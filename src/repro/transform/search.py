@@ -18,7 +18,7 @@ from an :class:`~repro.transform.incremental.IncrementalPredictor`
 enumerates every sequence up to a depth, as the oracle the E-SEARCH
 bench compares node counts against.
 
-Scaling machinery (the E-PSEARCH bench measures both):
+Scaling machinery:
 
 * Visited states are keyed by :func:`~repro.ir.digest.stmts_digest`
   -- an O(changed spine) structural hash -- instead of the O(program)
@@ -28,18 +28,11 @@ Scaling machinery (the E-PSEARCH bench measures both):
   nothing).
 * Expansion proceeds in *rounds*: each round pops up to ``beam_width``
   nodes, generates and digest-dedups their successors in a fixed
-  order, then evaluates all fresh candidates as one batch -- inline,
-  through a caller-supplied ``evaluate_batch``, or on a
-  :class:`~repro.transform.parallel.SearchPool` when
-  ``search_workers > 1``.  Ordering (dedup, push, pop, tie-breaks)
-  never depends on where evaluation ran, so for a given ``beam_width``
-  the parallel search returns bit-identical results to the serial one;
+  order, then predicts the fresh candidates in that order;
   ``beam_width=1`` is exactly the classic serial A* expansion order.
 
-Caveat: programs whose branches are not nearly equal get fresh
-probability variables (``pt_N``) numbered in evaluation order; under a
-concrete workload these bind identically either way, but symbolic-mode
-searches over heavily branchy programs should stay serial.
+Programs whose branches are not nearly equal get fresh probability
+variables (``pt_N``) numbered in evaluation order.
 """
 
 from __future__ import annotations
@@ -104,9 +97,8 @@ class SearchCheckpoint:
     and the transposition memo -- so a search resumed from a checkpoint
     replays the remaining rounds *bit-identically* to the uninterrupted
     run: same pops, same pushes, same tie-breaks, same result.  All
-    members are picklable (programs, costs, and steps already cross
-    process pools), which is what lets the service layer persist one
-    per round and hand a killed shard's job to its ring successor.
+    members are picklable, which is what lets the service layer persist
+    one per round and hand a killed shard's job to its ring successor.
     """
 
     rounds: int
@@ -214,9 +206,7 @@ def astar_search(
     domain: Mapping[str, "Interval"] | None = None,
     *,
     beam_width: int = 1,
-    search_workers: int = 0,
     table: TranspositionTable | None = None,
-    evaluate_batch: Callable[[list[Program]], list[PerfExpr]] | None = None,
     on_round: Callable[[RoundProgress], Any] | None = None,
     resume_from: SearchCheckpoint | None = None,
 ) -> SearchResult:
@@ -230,11 +220,7 @@ def astar_search(
     shortest sequence).
 
     ``beam_width`` nodes are popped per expansion round and their
-    fresh successors evaluated as one batch; ``evaluate_batch`` (or a
-    :class:`~repro.transform.parallel.SearchPool` spawned when
-    ``search_workers > 1``) may run that batch on worker processes.
-    Results are bit-identical to the serial path for a given
-    ``beam_width``.
+    fresh successors predicted together, in a fixed order.
 
     Every candidate evaluated below bottoms out in the active placement
     kernel; the machine's op costs are interned once here so no round
@@ -254,39 +240,6 @@ def astar_search(
         raise ValueError("beam width must be at least 1")
     compile_ops(predictor.aggregator.machine)
     table = table if table is not None else TranspositionTable()
-    own_pool = None
-    if evaluate_batch is None and search_workers > 1:
-        from .parallel import SearchPool
-
-        own_pool = SearchPool(
-            program, predictor.aggregator.machine, workers=search_workers,
-        )
-        evaluate_batch = own_pool.evaluate
-    try:
-        return _astar_rounds(
-            program, transformations, predictor, workload, max_depth,
-            max_nodes, domain, beam_width, table, evaluate_batch,
-            on_round, resume_from,
-        )
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-
-
-def _astar_rounds(
-    program: Program,
-    transformations: Sequence[Transformation],
-    predictor: IncrementalPredictor,
-    workload: Mapping[str, int] | None,
-    max_depth: int,
-    max_nodes: int,
-    domain: Mapping[str, "Interval"] | None,
-    beam_width: int,
-    table: TranspositionTable,
-    evaluate_batch: Callable[[list[Program]], list[PerfExpr]] | None,
-    on_round: Callable[[RoundProgress], Any] | None = None,
-    resume_from: SearchCheckpoint | None = None,
-) -> SearchResult:
     with trace_span("transform.search") as span:
         if resume_from is not None:
             # Re-enter the loop with the checkpointed state verbatim:
@@ -370,17 +323,10 @@ def _astar_rounds(
                         else:
                             known.append((candidate, cost, step, depth + 1))
 
-            # Evaluate the fresh batch -- inline or on the pool; the
-            # push order below is fixed either way.
-            costs: list[PerfExpr] = []
-            if fresh:
-                programs = [candidate for candidate, _, _, _ in fresh]
-                if evaluate_batch is not None:
-                    costs = evaluate_batch(programs)
-                else:
-                    costs = [predictor.predict(p) for p in programs]
-                for (candidate, digest, step, depth), cost in zip(fresh, costs):
-                    table.store(digest, cost)
+            costs = [predictor.predict(candidate)
+                     for candidate, _, _, _ in fresh]
+            for (candidate, digest, step, depth), cost in zip(fresh, costs):
+                table.store(digest, cost)
             for candidate, cost, step, depth in known:
                 generated += 1
                 push(candidate, cost, step, depth)

@@ -1,4 +1,4 @@
-"""Engine behaviour: caching, batching, errors, worker pools."""
+"""Engine behaviour: caching, batching, errors, inline execution."""
 
 import pytest
 
@@ -11,6 +11,8 @@ from repro.service import (
     RestructureRequest,
     ServiceError,
 )
+from repro.service.engine import _request_to_dict
+from repro.transform.incremental import _predictors
 
 SAXPY = """
 program saxpy
@@ -45,6 +47,26 @@ program saxpy
   end do
 end
 """
+
+MATMUL = """
+program mm
+  integer n, i, j, k
+  real a(n,n), b(n,n), c(n,n)
+  do i = 1, n
+    do j = 1, n
+      do k = 1, n
+        c(i,j) = c(i,j) + a(i,k) * b(k,j)
+      end do
+    end do
+  end do
+end
+"""
+
+
+def _restructure_item(beam_width=2, depth=2, max_nodes=60):
+    return ("restructure", _request_to_dict(RestructureRequest(
+        source=MATMUL, workload={"n": 16}, depth=depth,
+        max_nodes=max_nodes, beam_width=beam_width)))
 
 
 @pytest.fixture
@@ -157,21 +179,11 @@ def test_metrics_counters(engine):
     assert engine.metrics.gauge("repro_cache_hits_total").value() == 1
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
-def test_worker_pool_batch(executor):
-    with PredictionEngine(workers=2, cache_size=32,
-                          executor=executor) as eng:
-        responses = eng.batch([
-            PredictRequest(source=SAXPY),
-            PredictRequest(source=DAXPY_VARIANT),
-            PredictRequest(source=SAXPY, bindings={"n": 10}),
-        ])
-        assert [isinstance(r, ServiceError) for r in responses] == [False] * 3
-        assert responses[0].cost == "3*n + 8"
-        assert responses[2].cycles == "38"
-        # Second round is served entirely from the in-process cache.
-        again = eng.batch([PredictRequest(source=SAXPY)])
-        assert again[0].cached
+def test_workers_accepts_only_inline_counts():
+    with PredictionEngine(workers=1, cache_size=8) as eng:
+        assert eng.predict(PredictRequest(source=SAXPY)).cost == "3*n + 8"
+    with pytest.raises(ValueError, match="repro route"):
+        PredictionEngine(workers=2)
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +226,10 @@ def test_fingerprint_covers_cost_table():
 
 
 def test_trace_block_on_request(engine):
-    from repro.service import engine as engine_mod
-
-    # The worker-side predictor pool and the placement memo both
+    # The shared predictor pool and the placement memo both
     # short-circuit repeat work; start cold so the full pipeline (and
     # its spans) actually runs.
-    engine_mod._predictors.clear()
+    _predictors.clear()
     reset_placement_cache()
     response = engine.predict(PredictRequest(source=SAXPY, trace=True))
     names = {span["name"] for span in response.trace}
@@ -243,9 +253,8 @@ def test_cached_response_stays_trace_free(engine):
 
 def test_engine_ingests_spans_into_active_tracer(engine):
     from repro.obs import Tracer
-    from repro.service import engine as engine_mod
 
-    engine_mod._predictors.clear()
+    _predictors.clear()
     reset_placement_cache()
     tracer = Tracer(metrics=engine.metrics)
     with tracer.activate():
@@ -285,19 +294,6 @@ def test_eviction_telemetry(tmp_path):
         assert age_hist.count(endpoint="predict") == 1
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
-def test_worker_pool_returns_trace(executor):
-    from repro.service import engine as engine_mod
-
-    engine_mod._predictors.clear()   # thread workers share this pool
-    reset_placement_cache()
-    with PredictionEngine(workers=2, cache_size=8,
-                          executor=executor) as engine:
-        response = engine.predict(PredictRequest(source=SAXPY, trace=True))
-        names = {span["name"] for span in response.trace}
-        assert "predict" in names and "cost.place" in names
-
-
 def test_batch_dedups_identical_misses(engine):
     """Three identical predicts in one batch: one execution, three answers."""
     batch = [("predict", {"source": SAXPY})] * 3 + \
@@ -327,20 +323,30 @@ def test_batch_dedup_keeps_traced_duplicates_separate(engine):
     assert requests.value(kind="predict", outcome="deduplicated") == 0
 
 
-def test_batch_dedup_on_worker_pool():
-    """Dedup happens engine-side, before chunks are formed."""
-    from repro.service import engine as engine_mod
+def test_beam_width_is_part_of_the_cache_key():
+    with PredictionEngine(workers=0) as engine:
+        narrow = engine.handle(*_restructure_item(beam_width=1))
+        wide = engine.handle(*_restructure_item(beam_width=4))
+        assert not narrow["cached"]
+        assert not wide["cached"]          # different beam -> different key
+        assert engine.handle(*_restructure_item(beam_width=4))["cached"]
 
-    engine_mod._predictors.clear()
+
+def test_placement_cache_metrics_exposed():
+    # Cold caches all the way down: a warm IncrementalPredictor would
+    # answer the whole search from memory without placing any stream.
+    _predictors.clear()
     reset_placement_cache()
-    with PredictionEngine(workers=2, cache_size=8,
-                          executor="thread") as engine:
-        batch = [("predict", {"source": SAXPY})] * 6
-        results = engine.handle_batch(batch)
-        assert len({r["cost"] for r in results}) == 1
-        requests = engine.metrics.counter("repro_engine_requests_total")
-        assert requests.value(kind="predict", outcome="computed") == 1
-        assert requests.value(kind="predict", outcome="deduplicated") == 5
+    with PredictionEngine(workers=0) as engine:
+        engine.handle(*_restructure_item())
+        counter = engine.metrics.counter(
+            "repro_placement_cache_requests_total")
+        assert counter.value(result="miss") > 0
+        # A search revisits mostly-identical bodies, so hits dominate.
+        assert counter.value(result="hit") > counter.value(result="miss")
+        engine.export_cache_metrics()
+        entries = engine.metrics.gauge("repro_placement_cache_entries")
+        assert entries.value() > 0
 
 
 def test_memo_gauges_cover_the_engine_caches(engine):

@@ -192,6 +192,26 @@ def test_submit_runs_to_done_and_warms_result_cache(engine, tmp_path):
         manager.close()
 
 
+def test_job_cache_warming_counts_its_eviction(tmp_path):
+    with PredictionEngine(workers=0, cache_size=1) as engine:
+        engine.handle("predict", {"source": SAXPY})
+        manager = make_manager(engine, tmp_path).start()
+        try:
+            job_id = manager.submit({"source": SAXPY, "depth": 1})["job_id"]
+            wait_for(lambda: (manager.status(job_id) or {}).get(
+                "status") in TERMINAL_STATUSES)
+            assert manager.status(job_id)["status"] == "done"
+        finally:
+            manager.close()
+        evictions = engine.metrics.counter(
+            "repro_cache_endpoint_evictions_total")
+        assert evictions.value(endpoint="predict") == 1
+        assert evictions.value(endpoint="predict") == \
+            engine.cache.stats.evictions
+        ages = engine.metrics.histogram("repro_cache_evicted_age_seconds")
+        assert ages.count(endpoint="predict") == 1
+
+
 def test_public_view_hides_internal_fields(engine, tmp_path):
     manager = make_manager(engine, tmp_path)
     record = manager.submit({"source": SAXPY})

@@ -29,7 +29,7 @@ from .conftest import (
 
 @pytest.fixture(scope="module")
 def cluster():
-    backends = spawn_backends(3, workers=0, cache_size=256)
+    backends = spawn_backends(3, cache_size=256)
     try:
         yield backends
     finally:

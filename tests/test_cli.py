@@ -154,8 +154,19 @@ def test_serve_subcommand_registered():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--port", "0", "--workers", "2", "--cache-size", "64"])
-    assert args.port == 0 and args.workers == 2 and args.cache_size == 64
+        ["serve", "--port", "0", "--workers", "1", "--cache-size", "64"])
+    assert args.port == 0 and args.workers == 1 and args.cache_size == 64
+
+
+def test_serve_workers_is_inline_only(capsys):
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["serve", "--workers", "0"]).workers == 0
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(["serve", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "repro route" in capsys.readouterr().err
 
 
 def test_missing_file():
