@@ -12,6 +12,13 @@ lockstep.  This bench answers two questions:
   target speedup (>= 3x on 200+-instruction streams) in full mode and
   fused >= legacy in ``--quick`` (CI) mode.
 
+A ladder row does the same for repeated dropping
+(:func:`repro.cost.place_copies`): random bodies, with one-time ops,
+on every machine through both kernels, each x2/x4/x8 summary compared
+field by field with the placement of the explicitly replicated body;
+then the x4 + x8 pair a loop's steady state needs is timed both ways,
+as a replica per factor and as one ladder of drops.
+
 Besides the usual ``E-KERNEL.txt`` table this writes
 ``benchmarks/results/BENCH_KERNEL.json`` (machine-readable: speedups
 and ops/s per size), which the ``kernel-perf`` CI job gates on.
@@ -23,12 +30,13 @@ import random
 import time
 
 from repro.cost import BinSet, reset_placement_cache
+from repro.cost.estimator import UNROLL_LADDER
 from repro.cost.placement import _drop_stream, _place_uncached
 from repro.machine.alpha import alpha_machine
 from repro.machine.power import power_machine
 from repro.machine.scalar import scalar_machine
 from repro.machine.wide import wide_machine
-from repro.translate.stream import Instr
+from repro.translate.stream import Instr, placement_digest, reindex
 
 from _report import RESULTS_DIR, emit_table
 
@@ -119,6 +127,89 @@ def _throughput(size, reps, seed=7, rounds=3):
     return wall["legacy"], wall["fused"]
 
 
+def _replicated(iterative, factor):
+    """``factor`` copies of a re-indexed body, each re-indexed past the last."""
+    out = []
+    for copy in range(factor):
+        base = copy * len(iterative)
+        out.extend(Instr(base + i.index, i.atomic,
+                         tuple(base + d for d in i.deps)) for i in iterative)
+    return out
+
+
+def _ladder_differential(trials, seed=20261019):
+    """(trials, mismatches): ladder summaries vs replicated placements."""
+    rng = random.Random(seed)
+    machines = [factory() for factory in MACHINES]
+    mismatches = checked = 0
+    for trial in range(trials):
+        machine = machines[trial % len(machines)]
+        body = _rand_stream(rng, _placeable_ops(machine), rng.randint(1, 24))
+        iterative = reindex([i for i in body if not i.one_time])
+        focus = rng.choice([2, 8, 64])
+        kernel = ("fused", "legacy")[trial // len(machines) % 2]
+        _, _, ladder = _drop_stream(machine, iterative, focus,
+                                    BinSet(machine), kernel, None, None,
+                                    UNROLL_LADDER)
+        for factor, got in zip(UNROLL_LADDER, ladder):
+            want = _place_uncached(machine, _replicated(iterative, factor),
+                                   focus, None, kernel).block
+            mismatches += got != want
+        checked += 1
+    return checked, mismatches
+
+
+def _ladder_throughput(size, reps, seed=11, rounds=3):
+    """(replicated s, ladder s, body ops) for ``reps`` x4 + x8 pairs.
+
+    Both sides start from the x1 body's iterative part and do what a
+    placement-memo miss did before and does now: build, hash and place
+    a x4 and a x8 replica, or hash the body once and drop it eight
+    times into one set of bins, reading x2, x4 and x8.  Best of
+    ``rounds``, interleaved.
+    """
+    machine = power_machine()
+    rng = random.Random(seed)
+    body = _rand_stream(rng, _placeable_ops(machine), size)
+    iterative = reindex([i for i in body if not i.one_time])
+
+    def replicated():
+        for factor in (4, 8):
+            stream = _replicated(iterative, factor)
+            _drop_stream(machine, stream, FOCUS_SPAN, BinSet(machine),
+                         "fused", None, placement_digest(stream))
+
+    def ladder():
+        _drop_stream(machine, iterative, FOCUS_SPAN, BinSet(machine),
+                     "fused", None, placement_digest(iterative),
+                     UNROLL_LADDER)
+
+    wall = {replicated: None, ladder: None}
+    for run in (replicated, ladder):     # warm compilation
+        run()
+    for _ in range(rounds):
+        for run in (replicated, ladder):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                run()
+            elapsed = time.perf_counter() - t0
+            if wall[run] is None or elapsed < wall[run]:
+                wall[run] = elapsed
+    return wall[replicated], wall[ladder], len(iterative)
+
+
+def _ladder_row(trials, size, reps, report):
+    checked, mismatches = _ladder_differential(trials)
+    replicated_s, ladder_s, n = _ladder_throughput(size, reps)
+    speedup = replicated_s / ladder_s
+    report.update(ladder_trials=checked, ladder_mismatches=mismatches,
+                  ladder_body_size=size, ladder_replicated_seconds=replicated_s,
+                  ladder_seconds=ladder_s, ladder_speedup=speedup)
+    return (f"ladder x4+x8 of {n}", f"{replicated_s:.3f}s",
+            f"{ladder_s:.3f}s", f"{12 * n * reps / replicated_s:,.0f}",
+            f"{8 * n * reps / ladder_s:,.0f}", f"{speedup:.2f}x")
+
+
 def _kernel_rows(trials, sizes, reps):
     checked = _differential(trials)
     rows = []
@@ -141,9 +232,16 @@ def _kernel_rows(trials, sizes, reps):
             "speedup": speedup,
         })
     report["speedup_large"] = report["sizes"][-1]["speedup"]
-    notes = (f"differential oracle: {checked} randomized streams across "
-             f"{len(MACHINES)} machines, bin grids included; "
-             f"focus span {FOCUS_SPAN}")
+    rows.append(_ladder_row(trials, 32, reps * 2, report))
+    notes = (f"before/after: legacy/fused kernel; for the ladder row, "
+             f"a x4 and a x8 replica built, hashed and placed (12n ops) / "
+             f"one body hashed and dropped 8 times, read at x2/x4/x8 "
+             f"(8n ops).  Differential oracles: {checked} randomized "
+             f"streams across {len(MACHINES)} machines, bin grids "
+             f"included; {report['ladder_trials']} random bodies with "
+             f"one-time ops, both kernels, every ladder summary vs the "
+             f"replicated placement: {report['ladder_mismatches']} "
+             f"mismatches.  Focus span {FOCUS_SPAN}")
     return rows, notes, report
 
 
@@ -151,8 +249,9 @@ def _emit(rows, notes, report, quick):
     report["quick"] = quick
     emit_table(
         "E-KERNEL",
-        "Fused columnar placement kernel vs legacy BinSet.place",
-        ["stream", "legacy", "fused", "legacy ops/s", "fused ops/s",
+        "Fused columnar placement kernel vs legacy BinSet.place; "
+        "repeated-dropping ladder vs replicated bodies",
+        ["stream", "before", "after", "before ops/s", "after ops/s",
          "speedup"],
         rows, notes=notes,
     )
@@ -171,6 +270,8 @@ def test_fused_kernel_matches_and_beats_legacy(benchmark):
     assert report["differential_trials"] >= 1000
     # The tentpole target: >= 3x on 200+-instruction streams.
     assert report["speedup_large"] >= 3.0, report
+    assert report["ladder_mismatches"] == 0, report
+    assert report["ladder_speedup"] >= 1.0, report
 
 
 def main(argv=None):
@@ -194,10 +295,15 @@ def main(argv=None):
         print(f"FAIL: fused speedup {report['speedup_large']:.2f}x "
               f"below the {floor:.1f}x floor")
         return 1
+    if report["ladder_mismatches"] or report["ladder_speedup"] < 1.0:
+        print(f"FAIL: ladder {report['ladder_mismatches']} mismatches, "
+              f"{report['ladder_speedup']:.2f}x vs replicated placement")
+        return 1
     print(f"kernel ok: {report['differential_trials']} differential trials, "
           f"{report['speedup_large']:.2f}x on "
-          f"{report['sizes'][-1]['stream_size']}-instruction streams "
-          f"({out})")
+          f"{report['sizes'][-1]['stream_size']}-instruction streams; "
+          f"ladder {report['ladder_trials']} trials, "
+          f"{report['ladder_speedup']:.2f}x ({out})")
     return 0
 
 

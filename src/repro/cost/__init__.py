@@ -16,6 +16,7 @@ from .placement import (
     PLACEMENT_CACHE_LIMIT,
     PlacedBlock,
     PlacedOp,
+    place_copies,
     place_stream,
     placement_cache_stats,
     placement_kernel,
@@ -32,7 +33,7 @@ __all__ = [
     "PlacedBlock", "PlacedOp", "Placement", "SlotArray",
     "StraightLineEstimator", "StreamSummary",
     "combined_cycles", "compile_stream",
-    "max_overlap", "place_stream",
+    "max_overlap", "place_copies", "place_stream",
     "placement_cache_stats", "placement_kernel", "recommended_span",
     "reset_placement_cache",
     "set_placement_kernel", "steady_state_cycles", "stream_digest",

@@ -14,12 +14,23 @@ from dataclasses import dataclass
 
 from ..machine.compiled import compile_ops
 from ..machine.machine import Machine
-from ..translate.stream import Instr, InstrStream, reindex
+from ..translate.stream import InstrStream, reindex
 from .costblock import CostBlock
 from .overlap import steady_state_cycles
-from .placement import DEFAULT_FOCUS_SPAN, PlacedBlock, place_stream
+from .placement import (
+    DEFAULT_FOCUS_SPAN,
+    PlacedBlock,
+    place_copies,
+    place_stream,
+)
 
-__all__ = ["BlockCost", "StraightLineEstimator"]
+__all__ = ["BlockCost", "StraightLineEstimator", "UNROLL_LADDER"]
+
+#: The unroll factors one memoized ladder answers: loop aggregation
+#: reads x4 and x8, :meth:`StraightLineEstimator.recommend_unroll` x2, x4
+#: and x8, so eight drops of the body answer them all.  The memo keeps
+#: only these summaries.
+UNROLL_LADDER = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -92,29 +103,24 @@ class StraightLineEstimator:
         times".  Copies are independent (callers handle loop-carried
         chains, e.g. reductions, at the aggregation level), so the
         placement discovers exactly how much overlap the machine allows.
+
+        The iterative part is dropped ``factor`` times into one set of
+        bins (:func:`~repro.cost.placement.place_copies`); the factors
+        in :data:`UNROLL_LADDER` share one memoized drop of eight.
         """
         if factor < 1:
             raise ValueError("unroll factor must be >= 1")
-        iterative = [i for i in stream if not i.one_time]
-        replicated: list[Instr] = []
-        base = 0
-        for _ in range(factor):
-            for instr in reindex(iterative):
-                replicated.append(Instr(
-                    index=base + instr.index,
-                    atomic=instr.atomic,
-                    deps=tuple(base + d for d in instr.deps),
-                    tag=instr.tag,
-                ))
-            base += len(iterative)
-        placed = place_stream(self.machine, replicated, self.focus_span)
+        iterative = reindex([i for i in stream if not i.one_time])
+        reads = UNROLL_LADDER if factor in UNROLL_LADDER else (factor,)
+        block = place_copies(self.machine, iterative, reads,
+                             self.focus_span)[reads.index(factor)]
         return BlockCost(
-            cycles=placed.cycles,
+            cycles=block.cycles,
             one_time_cycles=0,
-            steady_cycles=steady_state_cycles(placed.block),
-            block=placed.block,
+            steady_cycles=steady_state_cycles(block),
+            block=block,
             one_time_block=CostBlock.empty(),
-            placed=placed,
+            placed=PlacedBlock(self.machine.name, (), block),
         )
 
     # ------------------------------------------------------------------

@@ -24,6 +24,10 @@ Both produce bit-identical :class:`PlacedBlock` results (cycles, op
 times, pipe choices).  Answers read only a placement's ``cycles`` and
 ``block``, so memoized placements carry no per-op tuple; ``.ops`` comes
 only from a placement into explicit ``bins``.
+
+:func:`place_copies` is the paper's *repeated dropping* (section
+2.2.2): one stream dropped several times into one set of bins, with
+the summary read after each copy.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .costblock import CostBlock
 __all__ = [
     "PlacedOp", "PlacedBlock", "place_stream", "DEFAULT_FOCUS_SPAN",
     "stream_digest", "placement_cache_stats", "reset_placement_cache",
-    "placement_kernel", "set_placement_kernel",
+    "placement_kernel", "set_placement_kernel", "place_copies",
     "PLACEMENT_CACHE_LIMIT",
 ]
 
@@ -128,6 +132,11 @@ PLACEMENT_CACHE_LIMIT = 2048
 _memo: BoundedCache[tuple[str, str, int], PlacedBlock] = \
     BoundedCache("placement", PLACEMENT_CACHE_LIMIT)
 
+#: (machine fingerprint, stream digest, focus span, copy counts) -> the
+#: summaries :func:`place_copies` returns.
+_ladders: BoundedCache[tuple, tuple[CostBlock, ...]] = \
+    BoundedCache("ladder", PLACEMENT_CACHE_LIMIT)
+
 
 def placement_cache_stats() -> dict[str, int]:
     """Snapshot of the placement memo's counters and size."""
@@ -135,8 +144,19 @@ def placement_cache_stats() -> dict[str, int]:
 
 
 def reset_placement_cache() -> None:
-    """Drop all memoized placements and zero the counters."""
+    """Drop all memoized placements and ladders and zero the counters."""
     _memo.clear()
+    _ladders.clear()
+
+
+def _announce_hit(machine: Machine, ops: int, focus_span: int,
+                  cycles: int) -> None:
+    """A memo hit's ``cost.place`` span: traces and the cost.place
+    histogram stay complete under a warm memo."""
+    with trace_span("cost.place") as span:
+        if span.recording:
+            span.set(machine=machine.name, ops=ops, focus_span=focus_span,
+                     cycles=cycles, cached=True)
 
 
 def place_stream(
@@ -189,19 +209,46 @@ def place_stream(
     key = (compile_ops(machine).fingerprint, digest, focus_span)
     hit = _memo.get(key)
     if hit is not None:
-        # Memoized placements still announce the phase: traces and
-        # the cost.place histogram stay complete under a warm memo.
-        with trace_span("cost.place") as span:
-            if span.recording:
-                span.set(machine=machine.name, ops=len(instr_list),
-                         focus_span=focus_span, cycles=hit.cycles,
-                         cached=True)
+        _announce_hit(machine, len(instr_list), focus_span, hit.cycles)
         return hit
-    _, _, block = _drop_stream(machine, instr_list, focus_span,
-                               BinSet(machine), _kernel, compiled, digest)
+    _, _, (block,) = _drop_stream(machine, instr_list, focus_span,
+                                  BinSet(machine), _kernel, compiled, digest)
     placed = PlacedBlock(machine.name, (), block)
     _memo.put(key, placed)
     return placed
+
+
+def place_copies(
+    machine: Machine,
+    instrs: list[Instr],
+    reads: tuple[int, ...],
+    focus_span: int = DEFAULT_FOCUS_SPAN,
+) -> tuple[CostBlock, ...]:
+    """Repeated dropping (section 2.2.2): "dropping the innermost basic
+    block into the functional bins multiple times".
+
+    Drops ``instrs`` ``reads[-1]`` times into one set of bins and
+    returns the summary after each copy count in ``reads`` (ascending).
+    Each copy's dependences stay inside the copy, so the summary after
+    ``k`` copies equals the placement of the stream replicated ``k``
+    times, each copy re-indexed past the last -- with no replica built
+    or hashed.  Memoized like :func:`place_stream`, keyed also on
+    ``reads``.
+    """
+    if focus_span < 1:
+        raise ValueError("focus span must be at least 1")
+    if not reads or reads[0] < 1 or list(reads) != sorted(set(reads)):
+        raise ValueError(f"copy counts must ascend from 1 or more: {reads}")
+    digest = placement_digest(instrs)
+    key = (compile_ops(machine).fingerprint, digest, focus_span, reads)
+    hit = _ladders.get(key)
+    if hit is not None:
+        _announce_hit(machine, len(instrs), focus_span, hit[-1].cycles)
+        return hit
+    _, _, blocks = _drop_stream(machine, instrs, focus_span, BinSet(machine),
+                                _kernel, None, digest, reads)
+    _ladders.put(key, blocks)
+    return blocks
 
 
 def _place_uncached(
@@ -215,7 +262,7 @@ def _place_uncached(
 ) -> PlacedBlock:
     """One placement with every op, never memoized."""
     bin_set = bins if bins is not None else BinSet(machine)
-    times, completions, block = _drop_stream(
+    times, completions, (block,) = _drop_stream(
         machine, instr_list, focus_span, bin_set, kernel, compiled, digest)
     ops = tuple(map(PlacedOp, instr_list, times, completions))
     return PlacedBlock(machine.name, ops, block)
@@ -229,23 +276,41 @@ def _drop_stream(
     kernel: str,
     compiled: CompiledStream | None,
     digest: str | None,
-) -> tuple[list[int], list[int], CostBlock]:
-    """Run one kernel into ``bin_set``: (times, completions, summary)."""
+    reads: tuple[int, ...] = (1,),
+) -> tuple[list[int], list[int], tuple[CostBlock, ...]]:
+    """Run one kernel ``reads[-1]`` times into ``bin_set``.
+
+    Returns the last copy's (times, completions) columns and the
+    summary after each copy count in ``reads``; a summary covers every
+    copy so far, since an op of an earlier copy may start lowest or
+    complete last.
+    """
+    summaries: list[CostBlock] = []
+    lowest: int | None = None
+    latest = 0
     with trace_span("cost.place") as span:
         if kernel == "fused":
             if compiled is None:
                 compiled = compile_stream(machine, instr_list, digest)
-            times, completions = drop_columns(
-                compiled, compile_ops(machine), bin_set, focus_span)
-        else:
-            times, completions = _place_legacy(machine, instr_list,
-                                               focus_span, bin_set)
-        block = _summarize(bin_set, times, completions)
+            ops = compile_ops(machine)
+        for copy in range(1, reads[-1] + 1):
+            if kernel == "fused":
+                times, completions = drop_columns(compiled, ops, bin_set,
+                                                  focus_span)
+            else:
+                times, completions = _place_legacy(machine, instr_list,
+                                                   focus_span, bin_set)
+            if times:
+                low = min(times)
+                lowest = low if lowest is None else min(lowest, low)
+                latest = max(latest, max(completions))
+            if copy in reads:
+                summaries.append(_summarize(bin_set, lowest, latest))
         if span.recording:
             span.set(machine=machine.name, ops=len(instr_list),
-                     focus_span=focus_span, cycles=block.cycles,
-                     kernel=kernel)
-    return times, completions, block
+                     focus_span=focus_span, cycles=summaries[-1].cycles,
+                     kernel=kernel, copies=reads[-1])
+    return times, completions, tuple(summaries)
 
 
 def _place_legacy(
@@ -281,11 +346,13 @@ def _place_legacy(
 
 def _summarize(
     bin_set: BinSet,
-    times: list[int],
-    completions: list[int],
+    lowest: int | None,
+    latest: int,
 ) -> CostBlock:
-    """Summary block for one placement, from its result columns."""
-    if not completions:
+    """Summary block of ``bin_set``, given its placed ops' lowest start
+    time and latest completion (``lowest`` is None if nothing was placed).
+    """
+    if lowest is None:
         return CostBlock.empty()
     profiles = {
         bin_id: span
@@ -294,11 +361,10 @@ def _summarize(
     }
     if not profiles:
         # Degenerate: only zero-noncoverable ops; anchor at first op time.
-        lo = min(times)
-        return CostBlock(lo, lo, max(completions))
+        return CostBlock(lowest, lowest, latest)
     lo = min(first for first, _ in profiles.values())
     occupied_hi = max(last for _, last in profiles.values()) + 1
-    completion = max(occupied_hi, max(completions))
+    completion = max(occupied_hi, latest)
     occupancy = {
         bin_id: count
         for bin_id, count in bin_set.occupancy().items()

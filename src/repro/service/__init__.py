@@ -47,7 +47,7 @@ from .client import (
     ServerError,
     TransportError,
 )
-from .engine import PredictionEngine, ServiceError, execute_request
+from .engine import PredictionEngine, ServiceError
 from .jobs import (
     JOBS_PREFIX,
     JobManager,
@@ -96,7 +96,7 @@ __all__ = [
     "ResultCache", "ServerError", "ServiceError", "ShardRouter",
     "SweepPointRow", "SweepRequest", "SweepResponse",
     "TERMINAL_STATUSES", "TransportError",
-    "endpoint_of", "error_envelope", "execute_request",
+    "endpoint_of", "error_envelope",
     "job_affinity_key", "make_router",
     "make_server", "parse_job_path", "request_from_dict",
     "response_from_dict", "response_to_dict", "run_router", "run_server",

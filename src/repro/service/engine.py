@@ -32,8 +32,9 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..cost.placement import placement_cache_stats
 from ..ir.digest import program_digest
-from ..ir.parser import ParseError, parse_program
 from ..ir.lexer import LexError
+from ..ir.nodes import Program
+from ..ir.parser import ParseError, parse_program
 from ..machine.registry import get_machine, machine_fingerprint
 from ..obs import (
     TraceBuffer,
@@ -68,7 +69,7 @@ from .protocol import (
     response_to_dict,
 )
 
-__all__ = ["PredictionEngine", "ServiceError", "execute_request"]
+__all__ = ["PredictionEngine", "ServiceError"]
 
 #: Exceptions that mean "the client sent something invalid" (HTTP 400),
 #: as opposed to an internal fault (HTTP 500).
@@ -90,12 +91,31 @@ class ServiceError(Exception):
 # ----------------------------------------------------------------------
 # request execution
 
+#: A request's programs with their digests, in field order: parsed
+#: once, for the cache key, and handed on to the handler.
+_Parsed = tuple[tuple[Program, str], ...]
 
-def _symbolic_cost(source: str, machine_name: str, backend: str,
-                   include_memory: bool):
-    """(program, digest, symbolic cost), via the shared predictor pool."""
-    program = parse_program(source)
-    digest = program_digest(program)
+#: The request fields that carry program source, per kind.
+_SOURCE_FIELDS = {
+    "predict": ("source",),
+    "compare": ("first", "second"),
+    "restructure": ("source",),
+    "sweep": ("source",),
+}
+
+
+def _parse_sources(kind: str, request: Any) -> _Parsed:
+    """Parse and digest every program ``request`` carries."""
+    parsed = []
+    for name in _SOURCE_FIELDS.get(kind, ()):
+        program = parse_program(getattr(request, name))
+        parsed.append((program, program_digest(program)))
+    return tuple(parsed)
+
+
+def _symbolic_cost(program: Program, digest: str, machine_name: str,
+                   backend: str, include_memory: bool):
+    """A parsed program's symbolic cost, via the shared predictor pool."""
     machine = get_machine(machine_name)
     # The fingerprint (memoized per registered factory) rides in the
     # key so recalibrating a machine under the same name retires the
@@ -105,14 +125,13 @@ def _symbolic_cost(source: str, machine_name: str, backend: str,
          include_memory),
         machine, program, backend, include_memory,
     )
-    return program, digest, predictor.predict(program)
+    return predictor.predict(program)
 
 
-def _do_predict(request: PredictRequest) -> PredictResponse:
-    _, digest, cost = _symbolic_cost(
-        request.source, request.machine, request.backend,
-        request.include_memory,
-    )
+def _do_predict(request: PredictRequest, parsed: _Parsed) -> PredictResponse:
+    (program, digest), = parsed
+    cost = _symbolic_cost(program, digest, request.machine, request.backend,
+                          request.include_memory)
     bindings = parse_bindings(request.bindings)
     cycles = str(cost.evaluate(bindings)) if bindings else None
     return PredictResponse(
@@ -125,14 +144,15 @@ def _do_predict(request: PredictRequest) -> PredictResponse:
     )
 
 
-def _do_compare(request: CompareRequest) -> CompareResponse:
+def _do_compare(request: CompareRequest, parsed: _Parsed) -> CompareResponse:
     from ..compare.comparator import compare
     from ..compare.regions import region_report
 
-    _, digest_first, cost_first = _symbolic_cost(
-        request.first, request.machine, "aggressive", False)
-    _, digest_second, cost_second = _symbolic_cost(
-        request.second, request.machine, "aggressive", False)
+    (first, digest_first), (second, digest_second) = parsed
+    cost_first = _symbolic_cost(first, digest_first, request.machine,
+                                "aggressive", False)
+    cost_second = _symbolic_cost(second, digest_second, request.machine,
+                                 "aggressive", False)
     result = compare(cost_first, cost_second,
                      domain=parse_domain(request.domain) or None)
     return CompareResponse(
@@ -164,6 +184,7 @@ def _restructure_transformations() -> list:
 
 def _restructure_response(
     request: RestructureRequest,
+    parsed: _Parsed,
     *,
     on_round: Callable[[Any], Any] | None = None,
     resume_from: Any | None = None,
@@ -177,8 +198,7 @@ def _restructure_response(
     from ..ir.printer import print_program
     from ..transform import astar_search
 
-    program = parse_program(request.source)
-    digest = program_digest(program)
+    (program, digest), = parsed
     machine = get_machine(request.machine)
     predictor = shared_predictor(
         (digest, request.machine, machine_fingerprint(request.machine),
@@ -209,7 +229,7 @@ def _restructure_response(
     )
 
 
-def _do_kernels(request: KernelsRequest) -> KernelsResponse:
+def _do_kernels(request: KernelsRequest, parsed: _Parsed) -> KernelsResponse:
     from ..backend.simulator import simulate
     from ..bench.kernels import kernel, kernel_names, kernel_stream
     from ..cost import StraightLineEstimator
@@ -227,13 +247,12 @@ def _do_kernels(request: KernelsRequest) -> KernelsResponse:
     return KernelsResponse(machine=request.machine, rows=tuple(rows))
 
 
-def _do_sweep(request: SweepRequest) -> SweepResponse:
+def _do_sweep(request: SweepRequest, parsed: _Parsed) -> SweepResponse:
     from ..sweep import sweep_program
 
     from ..machine.registry import cached_machine
 
-    program = parse_program(request.source)
-    digest = program_digest(program)
+    (program, digest), = parsed
     # cached_machine keeps the base identity stable across requests, so
     # the sweep's symbolic memo (and the family-member memo behind it)
     # stay hot; recalibration swaps the instance and retires both.
@@ -273,11 +292,11 @@ _HANDLERS = {
 }
 
 
-def execute_request(kind: str, payload: Mapping[str, Any],
-                    collect_trace: bool = False,
-                    trace_context: tuple[str, str | None] | None = None,
-                    ) -> dict[str, Any]:
-    """Run one request end to end; never raises -- errors become envelopes.
+def _execute(kind: str, request: Any, parsed: _Parsed, collect_trace: bool,
+             trace_context: tuple[str, str | None] | None,
+             ) -> dict[str, Any]:
+    """Run one decoded request on its parsed programs; never raises --
+    errors become envelopes.
 
     With ``collect_trace``, the request runs under a fresh
     request-local tracer and the finished spans travel back in the
@@ -292,40 +311,25 @@ def execute_request(kind: str, payload: Mapping[str, Any],
                          remote_parent_id=trace_context[1])
                   if trace_context else Tracer())
         with tracer.activate():
-            result = _execute_one(kind, payload)
+            result = _execute_one(kind, request, parsed)
         result["trace"] = tracer.export()
         return result
-    return _execute_one(kind, payload)
+    return _execute_one(kind, request, parsed)
 
 
-def _fast_path_trace(kind: str) -> list[dict[str, Any]]:
-    """The trace block for a surrogate answer: one honest span.
+def _lookup_trace(kind: str, **attrs: Any) -> list[dict[str, Any]]:
+    """The trace block for a cache hit or a surrogate answer.
 
-    The fast tier never runs the pipeline, so there are no pipeline
-    spans to show -- just the serving lookup itself.
+    Neither runs the pipeline, so replaying stored pipeline spans would
+    report work that did not happen; the answer instead gets a single
+    honest ``engine.execute`` span marking the lookup (joined to the
+    serving request's trace when one is active).
     """
     ctx = current_context()
     tracer = (Tracer(trace_id=ctx.trace_id, remote_parent_id=ctx.span_id)
               if ctx is not None else Tracer())
     with tracer.activate():
-        with trace_span("engine.execute", kind=kind, fidelity="fast"):
-            pass
-    return tracer.export()
-
-
-def _cache_hit_trace(kind: str) -> list[dict[str, Any]]:
-    """The trace block for a cache hit: one ``engine.execute`` span.
-
-    Hits never re-run the pipeline, so replaying the stored pipeline
-    spans would report work that did not happen; a traced hit instead
-    gets a single honest span marking the lookup (joined to the serving
-    request's trace when one is active).
-    """
-    ctx = current_context()
-    tracer = (Tracer(trace_id=ctx.trace_id, remote_parent_id=ctx.span_id)
-              if ctx is not None else Tracer())
-    with tracer.activate():
-        with trace_span("engine.execute", kind=kind, cached=True):
+        with trace_span("engine.execute", kind=kind, **attrs):
             pass
     return tracer.export()
 
@@ -338,11 +342,10 @@ def _trace_ctx() -> tuple[str, str | None] | None:
     return (ctx.trace_id, ctx.span_id)
 
 
-def _execute_one(kind: str, payload: Mapping[str, Any]) -> dict[str, Any]:
+def _execute_one(kind: str, request: Any, parsed: _Parsed) -> dict[str, Any]:
     try:
-        request = request_from_dict(kind, payload)
         with trace_span(kind, machine=getattr(request, "machine", "")):
-            return response_to_dict(_HANDLERS[kind](request))
+            return response_to_dict(_HANDLERS[kind](request, parsed))
     except _CLIENT_ERRORS as error:
         return error_envelope(error, status=400)
     except Exception as error:  # noqa: BLE001 -- envelope, keep serving
@@ -366,31 +369,32 @@ def _canonical_mapping(raw: Mapping[str, Any] | None) -> str:
 _machine_fingerprint = machine_fingerprint
 
 
-def _cache_key(kind: str, request: Any) -> str:
+def _cache_key(kind: str, request: Any, parsed: _Parsed) -> str:
     """Content-addressed key: program digests + everything that matters.
 
     ``fp`` is the machine's cost-table fingerprint: recalibrating a
     machine (``repro.machine.training``) changes the predicted numbers
     without changing the machine *name*, so persisted entries from the
-    old table must stop matching.
+    old table must stop matching.  ``parsed`` is the request's
+    :func:`_parse_sources`.
     """
     fp = f"fp={_machine_fingerprint(request.machine)}"
+    digests = [digest for _, digest in parsed]
     if kind == "predict":
-        digest = program_digest(parse_program(request.source))
+        digest, = digests
         return "|".join((
             "predict", digest, request.machine, fp, request.backend,
             f"mem={int(request.include_memory)}",
             f"at={_canonical_mapping(request.bindings)}",
         ))
     if kind == "compare":
-        first = program_digest(parse_program(request.first))
-        second = program_digest(parse_program(request.second))
+        first, second = digests
         return "|".join((
             "compare", first, second, request.machine, fp,
             f"dom={_canonical_mapping(request.domain)}",
         ))
     if kind == "restructure":
-        digest = program_digest(parse_program(request.source))
+        digest, = digests
         return "|".join((
             "restructure", digest, request.machine, fp,
             f"wl={_canonical_mapping(request.workload)}",
@@ -401,7 +405,7 @@ def _cache_key(kind: str, request: Any) -> str:
     if kind == "kernels":
         return f"kernels|{request.machine}|{fp}"
     if kind == "sweep":
-        digest = program_digest(parse_program(request.source))
+        digest, = digests
         widths = (",".join(str(w) for w in request.widths)
                   if request.widths else "-")
         return "|".join((
@@ -450,10 +454,10 @@ class _Pending(NamedTuple):
 
     index: int
     kind: str
-    payload: dict[str, Any]
     key: str
     want_trace: bool
     request: Any
+    parsed: _Parsed
 
 
 # ----------------------------------------------------------------------
@@ -575,12 +579,13 @@ class PredictionEngine:
                 served = self.surrogate.serve(request)
                 if served is not None:
                     if want_trace:
-                        served["trace"] = _fast_path_trace(kind)
+                        served["trace"] = _lookup_trace(kind, fidelity="fast")
                     self._requests.inc(kind=kind, outcome="fast")
                     resolve(index, kind, served)
                     continue
             try:
-                key = _cache_key(kind, request)
+                parsed = _parse_sources(kind, request)
+                key = _cache_key(kind, request, parsed)
             except _CLIENT_ERRORS as error:
                 self._requests.inc(kind=kind, outcome="client_error")
                 resolve(index, kind, error_envelope(error, status=400))
@@ -591,13 +596,12 @@ class PredictionEngine:
                     served = dict(hit)
                     served["cached"] = True
                     if want_trace:
-                        served["trace"] = _cache_hit_trace(kind)
+                        served["trace"] = _lookup_trace(kind, cached=True)
                 self._cache_lookups.inc(endpoint=kind, result="hit")
                 self._requests.inc(kind=kind, outcome="cache_hit")
                 resolve(index, kind, served)
                 continue
-            entry = _Pending(index, kind, dict(payload), key, want_trace,
-                             request)
+            entry = _Pending(index, kind, key, want_trace, request, parsed)
             if key in represented and not want_trace:
                 self._cache_lookups.inc(endpoint=kind, result="deduplicated")
                 followers.setdefault(key, []).append(entry)
@@ -612,9 +616,9 @@ class PredictionEngine:
             # collects them (and _finish re-ingests, so nothing is lost
             # either way).
             with trace_span("engine.execute", kind=entry.kind, cached=False):
-                result = execute_request(
-                    entry.kind, entry.payload, collect_trace=entry.want_trace,
-                    trace_context=_trace_ctx() if entry.want_trace else None)
+                result = _execute(
+                    entry.kind, entry.request, entry.parsed, entry.want_trace,
+                    _trace_ctx() if entry.want_trace else None)
             resolve(entry.index, entry.kind, self._finish(entry, result))
             for dup in followers.pop(entry.key, ()):
                 # ``result`` is the cache-bound copy: _finish popped any
@@ -692,7 +696,8 @@ class PredictionEngine:
         try:
             with trace_span("restructure.job", machine=request.machine):
                 response = _restructure_response(
-                    request, on_round=on_round, resume_from=resume_from)
+                    request, _parse_sources("restructure", request),
+                    on_round=on_round, resume_from=resume_from)
             return response_to_dict(response)
         except _CLIENT_ERRORS as error:
             return error_envelope(error, status=400)

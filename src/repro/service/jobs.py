@@ -47,6 +47,7 @@ from .engine import (
     _canonical_mapping,
     _CLIENT_ERRORS,
     _machine_fingerprint,
+    _parse_sources,
 )
 from .jobstore import JobStore, valid_job_id
 from .metrics import MetricsRegistry
@@ -425,8 +426,9 @@ class JobManager:
         # Success: the job's answer is exactly what the synchronous
         # endpoint would have computed, so warm the result cache with it.
         try:
-            self.engine.cache_result(_cache_key("restructure", restructure),
-                                     result)
+            key = _cache_key("restructure", restructure,
+                             _parse_sources("restructure", restructure))
+            self.engine.cache_result(key, result)
         except Exception:  # noqa: BLE001 -- cache warming is best-effort
             pass
         best = {"best_sequence": result.get("sequence"),

@@ -10,10 +10,8 @@ the ladder shares almost everything:
   translator facade replays width-invariant instruction streams to
   every width's aggregator (fresh stream copies per width: the loop
   aggregator appends overhead instructions in place);
-* stream *preparation* (iterative/invariant splits, unroll
-  replication, the synthetic bounds blocks) is computed once and
-  shared, so every width reaches the placement memo with pre-digested
-  streams;
+* the synthetic loop-bounds blocks are built once and shared, so the
+  facade replays their translation to every width too;
 * widths whose scaled unit configurations coincide (placement is
   dispatch-width-blind) share one aggregation outright.
 
@@ -37,9 +35,8 @@ from typing import Mapping, Sequence
 
 from .aggregate.aggregator import CostAggregator
 from .cost.costblock import CostBlock
-from .cost.estimator import BlockCost, StraightLineEstimator
-from .cost.overlap import steady_state_cycles
-from .cost.placement import DEFAULT_FOCUS_SPAN, place_stream
+from .cost.estimator import BlockCost
+from .cost.placement import DEFAULT_FOCUS_SPAN
 from .ir.nodes import Assign, Program, VarRef
 from .ir.symtab import SymbolTable
 from .machine.family import family_machine, family_width_ladder, \
@@ -48,7 +45,7 @@ from .machine.machine import Machine
 from .obs import BoundedCache, trace_span
 from .symbolic.expr import PerfExpr
 from .translate.backend_opts import AGGRESSIVE_BACKEND, BackendFlags
-from .translate.stream import Instr, InstrStream, reindex
+from .translate.stream import InstrStream
 from .translate.translator import BlockInfo
 
 __all__ = ["SweepPoint", "SweepOutcome", "sweep_program", "sweep_stats"]
@@ -137,80 +134,6 @@ class _SharedTranslation:
                             lambda: self._translator.loop_overhead(label))
 
 
-class _SweepEstimator(StraightLineEstimator):
-    """Estimator whose stream preparation is shared across the ladder.
-
-    The iterative/invariant splits and unroll replications a
-    :class:`StraightLineEstimator` would rebuild per call are computed
-    once per sweep, wrapped in :class:`InstrStream` so their placement
-    digests are hashed once, and reused by every width -- later widths
-    probe the placement memo without rebuilding or re-hashing a stream.
-    """
-
-    def __init__(self, machine: Machine, focus_span: int, parts: dict):
-        super().__init__(machine, focus_span)
-        #: (digest, role) -> prepared InstrStream, shared per sweep.
-        self._parts = parts
-
-    def _prepare(self, key, build) -> InstrStream:
-        stream = self._parts.get(key)
-        if stream is None:
-            stream = InstrStream(build())
-            self._parts[key] = stream
-        return stream
-
-    def estimate(self, stream: InstrStream) -> BlockCost:
-        digest = stream.digest()
-        iterative = self._prepare(
-            (digest, "iter"),
-            lambda: reindex([i for i in stream if not i.one_time]))
-        invariant = self._prepare(
-            (digest, "inv"),
-            lambda: reindex([i for i in stream if i.one_time]))
-        placed = place_stream(self.machine, iterative, self.focus_span)
-        placed_inv = place_stream(self.machine, invariant, self.focus_span)
-        return BlockCost(
-            cycles=placed.cycles,
-            one_time_cycles=placed_inv.cycles,
-            steady_cycles=steady_state_cycles(placed.block),
-            block=placed.block,
-            one_time_block=placed_inv.block,
-            placed=placed,
-        )
-
-    def estimate_unrolled(self, stream: InstrStream, factor: int) -> BlockCost:
-        if factor < 1:
-            raise ValueError("unroll factor must be >= 1")
-        replicated = self._prepare(
-            (stream.digest(), factor), lambda: _replicate(stream, factor))
-        placed = place_stream(self.machine, replicated, self.focus_span)
-        return BlockCost(
-            cycles=placed.cycles,
-            one_time_cycles=0,
-            steady_cycles=steady_state_cycles(placed.block),
-            block=placed.block,
-            one_time_block=CostBlock.empty(),
-            placed=placed,
-        )
-
-
-def _replicate(stream: InstrStream, factor: int) -> list[Instr]:
-    """The estimator's repeated-dropping stream for ``factor`` copies."""
-    iterative = [i for i in stream if not i.one_time]
-    replicated: list[Instr] = []
-    base = 0
-    for _ in range(factor):
-        for instr in reindex(iterative):
-            replicated.append(Instr(
-                index=base + instr.index,
-                atomic=instr.atomic,
-                deps=tuple(base + d for d in instr.deps),
-                tag=instr.tag,
-            ))
-        base += len(iterative)
-    return replicated
-
-
 class _SweepAggregator(CostAggregator):
     """Aggregator whose synthetic IR nodes are shared across widths.
 
@@ -270,9 +193,6 @@ class _InstrCountEstimator:
             placed=None,
         )
 
-    def recommend_unroll(self, stream, candidates=(1, 2, 4, 8)) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class _SymbolicSweep:
@@ -304,7 +224,6 @@ def _build_symbolic(program, members, symtab, flags,
     shared = _SharedTranslation(
         CostAggregator(members[0], symtab, flags,
                        focus_span=focus_span).translator)
-    parts: dict = {}
     bounds_memo: dict = {}
 
     # Symbolic instruction count N, aggregated once with the counting
@@ -327,8 +246,6 @@ def _build_symbolic(program, members, symtab, flags,
                 aggregator = _SweepAggregator(member, symtab, flags,
                                               focus_span, bounds_memo)
                 aggregator.translator = shared
-                aggregator.estimator = _SweepEstimator(member, focus_span,
-                                                       parts)
                 expr = aggregator.cost_program(program)
                 exprs_by_units[signature] = expr
                 if span.recording:

@@ -9,6 +9,7 @@ from repro.cost import (
     StraightLineEstimator,
     place_stream,
     recommended_span,
+    set_placement_kernel,
 )
 from repro.cost.focus import DEFAULT_SPAN, EXHAUSTIVE_SPAN, FAST_SPAN
 from repro.machine import get_machine, power_machine
@@ -152,13 +153,56 @@ def test_cycles_bounded_by_serial_sum(instrs):
     assert placed.cycles >= max(occupancy.values(), default=0)
 
 
-@given(random_streams(), st.integers(2, 8))
-@settings(max_examples=40, deadline=None)
-def test_narrow_focus_never_beats_wide(instrs, span):
+@given(random_streams(), st.sampled_from(_ATOMICS), st.integers(1, 8),
+       st.sampled_from([2, 8, EXHAUSTIVE_SPAN]))
+@settings(max_examples=60, deadline=None)
+def test_narrow_focus_never_places_one_op_lower(prefix, atomic, span,
+                                                prefix_span):
+    """One op dropped into identical bins lands no lower under a narrower span.
+
+    A narrower span only raises the floor of the search for the lowest
+    feasible slot.  That is all greedy placement promises: it does not
+    carry over to whole streams (see the next test).
+    """
     machine = power_machine()
-    narrow = place_stream(machine, instrs, focus_span=span)
-    wide = place_stream(machine, instrs, focus_span=EXHAUSTIVE_SPAN)
-    assert narrow.cycles >= wide.cycles
+    landed = []
+    for focus in (span, EXHAUSTIVE_SPAN):
+        bins = BinSet(machine)
+        place_stream(machine, prefix, focus_span=prefix_span, bins=bins)
+        placed = place_stream(machine, [Instr(0, atomic)], focus_span=focus,
+                              bins=bins)
+        landed.append(placed.ops[0].time)
+    narrow, wide = landed
+    assert narrow >= wide
+
+
+@pytest.mark.parametrize("kernel", ["fused", "legacy"])
+def test_a_narrow_focus_can_place_a_stream_in_fewer_cycles(kernel):
+    """Greedy placement is not monotone in the focus span.
+
+    Hypothesis found this 23-op stream: it places in 14 cycles at span
+    4 and in 15 at the exhaustive span, on both kernels.  Such streams
+    are rare (3 in 20,000 random streams of this module's strategy's
+    shape, spans 2-8), but they exist.
+    """
+    spec = ["fxu_add", "fxu_add", "fxu_add", ("fpu_arith", 0, 1),
+            "fpu_arith", "fpu_store", ("fpu_arith", 0, 1), "lsu_load",
+            ("fpu_arith", 0, 1), "fpu_arith", "lsu_load", "lsu_load",
+            "fxu_add", "fxu_add", "fpu_arith", "fpu_arith", "fpu_arith",
+            "fxu_mul3", "fpu_arith", "fpu_arith", "fpu_store", "fxu_mul3",
+            "fxu_add"]
+    instrs = [Instr(i, op) if isinstance(op, str) else Instr(i, op[0], op[1:])
+              for i, op in enumerate(spec)]
+    machine = power_machine()
+    previous = set_placement_kernel(kernel)
+    try:
+        narrow = place_stream(machine, instrs, focus_span=4,
+                              bins=BinSet(machine))
+        wide = place_stream(machine, instrs, focus_span=EXHAUSTIVE_SPAN,
+                            bins=BinSet(machine))
+    finally:
+        set_placement_kernel(previous)
+    assert (narrow.cycles, wide.cycles) == (14, 15)
 
 
 @given(random_streams())

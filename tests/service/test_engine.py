@@ -323,6 +323,34 @@ def test_batch_dedup_keeps_traced_duplicates_separate(engine):
     assert requests.value(kind="predict", outcome="deduplicated") == 0
 
 
+@pytest.mark.parametrize("item, parses", [
+    (("predict", {"source": SAXPY, "bindings": {"n": 7}}), 1),
+    (_restructure_item(max_nodes=6), 1),
+    (("compare", {"first": SAXPY, "second": DAXPY_VARIANT}), 2),
+])
+def test_each_request_is_decoded_and_parsed_once(engine, monkeypatch, item,
+                                                 parses):
+    """A miss reuses the request and programs its cache key parsed."""
+    from repro.service import engine as engine_mod
+
+    calls = {"decode": 0, "parse": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine_mod, "request_from_dict",
+                        counting("decode", engine_mod.request_from_dict))
+    monkeypatch.setattr(engine_mod, "parse_program",
+                        counting("parse", engine_mod.parse_program))
+    assert not engine.handle(*item)["cached"]
+    assert calls == {"decode": 1, "parse": parses}
+    assert engine.handle(*item)["cached"]
+    assert calls == {"decode": 2, "parse": 2 * parses}
+
+
 def test_beam_width_is_part_of_the_cache_key():
     with PredictionEngine(workers=0) as engine:
         narrow = engine.handle(*_restructure_item(beam_width=1))
