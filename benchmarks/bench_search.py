@@ -54,6 +54,19 @@ def _predictor(prog):
     )
 
 
+def _counted(predictor):
+    """Count ``predictor.predict`` calls in ``predictor.calls``."""
+    predict = predictor.predict
+    predictor.calls = 0
+
+    def counted(program):
+        predictor.calls += 1
+        return predict(program)
+
+    predictor.predict = counted
+    return predictor
+
+
 def _transforms():
     return [Unroll(factors=(2, 4)), Interchange(), StripMine(tiles=(16,))]
 
@@ -61,18 +74,24 @@ def _transforms():
 def test_search_vs_exhaustive_table(benchmark):
     def run():
         rows = []
-        for label, source, workload in (
-            ("daxpy-like", LATENCY_LOOP, {"n": 1000}),
-            ("2-D sweep", NEST, {"n": 100}),
+        for label, source, workload, max_nodes, beam_width in (
+            ("daxpy-like", LATENCY_LOOP, {"n": 1000}, 400, 1),
+            ("2-D sweep", NEST, {"n": 100}, 400, 1),
+            # The repo benchmark's restructure budget: the node budget,
+            # not an empty frontier, ends this search.
+            ("daxpy-like, 2 nodes", LATENCY_LOOP, {"n": 1000}, 2, 2),
         ):
             prog = repro.parse_program(source)
             base = _predictor(prog).predict(prog).evaluate(workload)
+            astar_predictor = _counted(_predictor(prog))
             astar = astar_search(
-                repro.parse_program(source), _transforms(), _predictor(prog),
-                workload=workload, max_depth=2, max_nodes=400,
+                repro.parse_program(source), _transforms(), astar_predictor,
+                workload=workload, max_depth=2, max_nodes=max_nodes,
+                beam_width=beam_width,
             )
+            oracle_predictor = _counted(_predictor(prog))
             oracle = exhaustive_search(
-                repro.parse_program(source), _transforms(), _predictor(prog),
+                repro.parse_program(source), _transforms(), oracle_predictor,
                 workload=workload, max_depth=2,
             )
             rows.append((
@@ -82,6 +101,8 @@ def test_search_vs_exhaustive_table(benchmark):
                 float(oracle.cost.evaluate(workload)),
                 astar.nodes_expanded,
                 oracle.nodes_expanded,
+                astar_predictor.calls,
+                oracle_predictor.calls,
                 astar.sequence,
             ))
         return rows
@@ -91,13 +112,16 @@ def test_search_vs_exhaustive_table(benchmark):
         "E-SEARCH",
         "A* restructuring vs exhaustive enumeration (depth 2)",
         ["program", "original", "A* best", "oracle best",
-         "A* nodes", "oracle nodes", "A* sequence"],
+         "A* nodes", "oracle nodes", "A* predictions", "oracle predictions",
+         "A* sequence"],
         rows,
     )
-    for _, base, astar_best, oracle_best, astar_nodes, oracle_nodes, _ in rows:
+    for (_, base, astar_best, oracle_best, astar_nodes, oracle_nodes,
+         astar_predictions, oracle_predictions, _) in rows:
         assert astar_best == oracle_best       # same optimum found
         assert astar_best < base               # and it is a real win
         assert astar_nodes <= oracle_nodes     # with no more work
+        assert astar_predictions <= oracle_predictions
 
 
 def test_search_finds_unroll_for_latency_bound(benchmark):

@@ -29,43 +29,43 @@ def expression_poly(expr: Expr) -> tuple[Poly, dict[str, Unknown]]:
     "treat unknowns as variables".
     """
     unknowns: dict[str, Unknown] = {}
+    return _convert(expr, unknowns), unknowns
 
-    def convert(node: Expr) -> Poly:
-        if isinstance(node, IntConst):
-            return Poly.const(node.value)
-        if isinstance(node, RealConst):
-            return Poly.const(Fraction(node.value))
-        if isinstance(node, VarRef):
-            unknowns.setdefault(
-                node.name, Unknown(node.name, UnknownKind.LOOP_BOUND)
-            )
-            return Poly.var(node.name)
-        if isinstance(node, UnOp) and node.op == "-":
-            return -convert(node.operand)
-        if isinstance(node, BinOp):
-            if node.op == "+":
-                return convert(node.left) + convert(node.right)
-            if node.op == "-":
-                return convert(node.left) - convert(node.right)
-            if node.op == "*":
-                return convert(node.left) * convert(node.right)
-            if node.op == "/":
-                right = convert(node.right)
-                if len(right.terms) == 1:
-                    return convert(node.left) / right
-            if node.op == "**" and isinstance(node.right, IntConst):
-                if node.right.value >= 0:
-                    return convert(node.left) ** node.right.value
-        return _opaque(node)
 
-    def _opaque(node: Expr) -> Poly:
-        name = f"u_{_slug(str(node))}"
+def _convert(node: Expr, unknowns: dict[str, Unknown]) -> Poly:
+    # Module level, not a closure: a recursive closure is a reference
+    # cycle that only the cyclic collector frees.
+    if isinstance(node, IntConst):
+        return Poly.const(node.value)
+    if isinstance(node, RealConst):
+        return Poly.const(Fraction(node.value))
+    if isinstance(node, VarRef):
         unknowns.setdefault(
-            name, Unknown(name, UnknownKind.PARAMETER, description=str(node))
+            node.name, Unknown(node.name, UnknownKind.LOOP_BOUND)
         )
-        return Poly.var(name)
-
-    return convert(expr), unknowns
+        return Poly.var(node.name)
+    if isinstance(node, UnOp) and node.op == "-":
+        return -_convert(node.operand, unknowns)
+    if isinstance(node, BinOp):
+        if node.op == "+":
+            return _convert(node.left, unknowns) + _convert(node.right, unknowns)
+        if node.op == "-":
+            return _convert(node.left, unknowns) - _convert(node.right, unknowns)
+        if node.op == "*":
+            return _convert(node.left, unknowns) * _convert(node.right, unknowns)
+        if node.op == "/":
+            right = _convert(node.right, unknowns)
+            if len(right.terms) == 1:
+                return _convert(node.left, unknowns) / right
+        if node.op == "**" and isinstance(node.right, IntConst):
+            if node.right.value >= 0:
+                return _convert(node.left, unknowns) ** node.right.value
+    # Opaque: a fresh unknown named after the expression text.
+    name = f"u_{_slug(str(node))}"
+    unknowns.setdefault(
+        name, Unknown(name, UnknownKind.PARAMETER, description=str(node))
+    )
+    return Poly.var(name)
 
 
 def _slug(text: str) -> str:

@@ -30,6 +30,7 @@ Scaling machinery:
   nodes, generates and digest-dedups their successors in a fixed
   order, then predicts the fresh candidates in that order;
   ``beam_width=1`` is exactly the classic serial A* expansion order.
+  The round that spends the node budget generates nothing.
 
 Programs whose branches are not nearly equal get fresh probability
 variables (``pt_N``) numbered in evaluation order.
@@ -99,6 +100,9 @@ class SearchCheckpoint:
     run: same pops, same pushes, same tie-breaks, same result.  All
     members are picklable, which is what lets the service layer persist
     one per round and hand a killed shard's job to its ring successor.
+    Resume only under the parameters it was taken with: the round that
+    spends ``max_nodes`` pushes no successors, so its checkpoint is
+    final for that budget and no other.
     """
 
     rounds: int
@@ -220,7 +224,10 @@ def astar_search(
     shortest sequence).
 
     ``beam_width`` nodes are popped per expansion round and their
-    fresh successors predicted together, in a fixed order.
+    fresh successors predicted together, in a fixed order.  The round
+    whose pops spend ``max_nodes`` is the last, so it generates and
+    predicts no successors: none could be popped, and the incumbent
+    changes only on a pop.
 
     Every candidate evaluated below bottoms out in the active placement
     kernel; the machine's op costs are interned once here so no round
@@ -233,8 +240,9 @@ def astar_search(
     :class:`RoundProgress` (best-so-far incumbent plus a resumable
     :class:`SearchCheckpoint`); returning ``False`` stops the search
     cooperatively.  ``resume_from`` re-enters the loop from a prior
-    checkpoint -- because the checkpoint captures the full loop state,
-    the resumed search is bit-identical to never having stopped.
+    checkpoint taken under the same parameters -- because the
+    checkpoint captures the full loop state, the resumed search is
+    bit-identical to never having stopped.
     """
     if beam_width < 1:
         raise ValueError("beam width must be at least 1")
@@ -302,6 +310,8 @@ def astar_search(
                     best_prog, best_cost, best_steps = prog, cost, steps
                 if depth < max_depth:
                     beam.append((prog, steps, depth))
+            if expanded >= max_nodes:
+                beam = []   # the budget is spent: no successor can be popped
 
             # Generate and digest-dedup successors in a fixed order.
             fresh: list[tuple[Program, str, tuple[SearchStep, ...], int]] = []
@@ -394,6 +404,7 @@ def exhaustive_search(
     the work list -- the popped node is never re-predicted.  A shared
     ``table`` (e.g. from a preceding :func:`astar_search` on the same
     predictor) answers revisited states without any prediction at all.
+    The pop that spends ``max_nodes`` is not expanded.
     """
     table = table if table is not None else TranspositionTable()
     root_digest = stmts_digest(program.body)
@@ -413,7 +424,7 @@ def exhaustive_search(
         if scalar < best_scalar:
             best_prog, best_cost, best_steps = prog, cost, steps
             best_scalar = scalar
-        if depth >= max_depth:
+        if depth >= max_depth or expanded >= max_nodes:
             continue
         for transformation in transformations:
             for site in transformation.sites(prog):

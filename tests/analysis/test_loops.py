@@ -1,5 +1,6 @@
 """Tests for symbolic trip counts and nest discovery."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -115,3 +116,20 @@ end do
     )
     nest = perfect_nest(loop)
     assert len(nest) == 1
+
+
+def test_trip_count_leaves_no_reference_cycles():
+    # Every object a trip count builds must be freed by reference
+    # counting alone; a cycle would wait for the cyclic collector.
+    loops = [_loop(f"do i = lb, n{k} / 2\n  x = idx(i)\nend do\n")
+             for k in range(10)]
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for loop in loops:
+            trip_count(loop)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
