@@ -10,6 +10,7 @@ misses after a local transformation stay confined to the changed
 region's ancestors.
 """
 
+import statistics
 import time
 
 import repro
@@ -19,6 +20,8 @@ from repro.machine import power_machine
 from repro.transform import IncrementalPredictor, Unroll
 
 from _report import emit_table
+
+REPETITIONS = 7
 
 MANY_REGIONS = """
 program regions
@@ -51,40 +54,58 @@ def _variants(prog, count=24):
 
 
 def test_incremental_probe_speed_table(benchmark):
-    def run():
+    def fresh_aggregator(prog):
+        return CostAggregator(power_machine(), SymbolTable.from_program(prog))
+
+    def cold_draw():
+        """A fresh aggregation of every variant."""
         prog = repro.parse_program(MANY_REGIONS)
         variants = _variants(prog)
-
-        def fresh_aggregator():
-            return CostAggregator(
-                power_machine(), SymbolTable.from_program(prog)
-            )
-
-        # Cold: a fresh aggregation of every variant.
         t0 = time.perf_counter()
         for variant in variants:
-            fresh_aggregator().cost_program(variant)
-        cold = time.perf_counter() - t0
+            fresh_aggregator(prog).cost_program(variant)
+        return time.perf_counter() - t0
 
-        # Incremental: one predictor shared across probes.
-        predictor = IncrementalPredictor(fresh_aggregator())
+    def incremental_draw():
+        """One predictor shared across the probes."""
+        prog = repro.parse_program(MANY_REGIONS)
+        variants = _variants(prog)
+        predictor = IncrementalPredictor(fresh_aggregator(prog))
         predictor.predict(prog)
         t0 = time.perf_counter()
         for variant in variants:
             predictor.predict(variant)
-        warm = time.perf_counter() - t0
-        return cold, warm, predictor.stats
+        return time.perf_counter() - t0, predictor.stats
 
-    cold, warm, stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    def run():
+        # One draw of each mode per repetition, interleaved, so host
+        # drift lands on both modes alike.
+        colds, warms = [], []
+        for _ in range(REPETITIONS):
+            colds.append(cold_draw())
+            elapsed, stats = incremental_draw()
+            warms.append(elapsed)
+        return colds, warms, stats
+
+    colds, warms, stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    cold, warm = statistics.median(colds), statistics.median(warms)
+
+    def spread(draws):
+        return (f"{statistics.median(draws) * 1e3:.1f}ms "
+                f"({min(draws) * 1e3:.1f}-{max(draws) * 1e3:.1f})")
+
     emit_table(
         "E-INCR",
         "24 what-if probes on a 4-region program: cold vs incremental",
-        ["mode", "time", "cache hits", "cache misses", "hit rate"],
+        ["mode", "time: median (min-max)", "cache hits", "cache misses",
+         "hit rate"],
         [
-            ("cold re-aggregation", f"{cold * 1e3:.1f}ms", "-", "-", "-"),
-            ("incremental", f"{warm * 1e3:.1f}ms", stats.hits,
+            ("cold re-aggregation", spread(colds), "-", "-", "-"),
+            ("incremental", spread(warms), stats.hits,
              stats.misses, f"{stats.hit_rate:.0%}"),
         ],
+        notes=f"{REPETITIONS} interleaved repetitions per mode; "
+              f"median speedup {cold / warm:.1f}x",
     )
     assert warm < cold
     assert stats.hit_rate > 0.4

@@ -73,13 +73,12 @@ def _sample_predicts(client, count, offset):
 
 
 def _measure(samples_per_phase):
-    store = tempfile.mkdtemp(prefix="bench-jobs-")
     # Default job slots (one): the subsystem's own slot cap is what
-    # keeps four in-flight jobs from starving the foreground.
-    with spawn_backend(
-        cache_size=8,
-        extra_args=("--job-store", store),
-    ) as backend:
+    # keeps four in-flight jobs from starving the foreground.  The job
+    # store is removed once the backend has stopped.
+    with tempfile.TemporaryDirectory(prefix="bench-jobs-") as store, \
+            spawn_backend(cache_size=8,
+                          extra_args=("--job-store", store)) as backend:
         with ReproClient(backend.url, timeout=120) as client:
             _sample_predicts(client, 10, offset=900_000)   # warm the pipeline
             idle = _sample_predicts(client, samples_per_phase, offset=0)

@@ -9,13 +9,16 @@ Two flavours:
   address the service layer uses for its cross-request result cache.
 
 * :func:`stmts_digest` / :func:`node_digest` hash the IR structure
-  directly, bottom-up, with a per-node memo.  Transformation search
-  probes thousands of program variants that share almost every subtree
-  with their parents (the IR is immutable; a rewrite rebuilds only the
-  spine to the root), so the memo makes re-digesting a variant cost
-  O(changed spine), not O(program) -- unlike printing, which walks the
-  whole tree every time.  The transposition table in
-  :mod:`repro.transform.search` is keyed this way.
+  directly, bottom-up, and each node keeps its 16-byte digest on
+  itself.  Transformation search probes thousands of program variants
+  that share almost every subtree with their parents (the IR is
+  immutable; a rewrite rebuilds only the spine to the root), so
+  re-digesting a variant costs O(changed spine), not O(program) --
+  unlike printing, which walks the whole tree every time.  The digest
+  lives and dies with its node: no table pins dead candidates, and a
+  pickled node carries its digest into the process that unpickles it.
+  The transposition table in :mod:`repro.transform.search` is keyed
+  this way.
 
 Both flavours are injective over program structure (up to hash
 collision), but they are *different* hash spaces: never mix
@@ -28,7 +31,6 @@ import hashlib
 from fractions import Fraction
 from typing import Sequence
 
-from ..obs.caches import BoundedCache
 from .nodes import (
     ArrayRef,
     Assign,
@@ -66,15 +68,12 @@ def source_digest(text: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Structural digests (bottom-up, memoized)
+# Structural digests (bottom-up, kept on the nodes)
 
-#: Memo: id(node) -> (node, digest).  Keeping the node itself in the
-#: value pins it alive, so its id can never be recycled while the entry
-#: exists -- that is what makes an id-keyed cache sound.  Lookup is
-#: O(1); a structural-equality dict would re-hash the whole subtree on
-#: every probe, which defeats the point.
-_memo: BoundedCache[int, tuple[object, bytes]] = \
-    BoundedCache("stmt_digest", 1 << 16)
+#: Instance attribute holding a node's digest once computed.  It is not
+#: a dataclass field, so equality, hashing and ``repr`` ignore it; it is
+#: deterministic bytes, so threads racing on one node write one value.
+_ATTR = "_digest"
 
 
 def _blake(parts: list[bytes]) -> bytes:
@@ -86,10 +85,9 @@ def _blake(parts: list[bytes]) -> bytes:
 
 def _digest_node(node) -> bytes:
     """16-byte structural digest of one expression or statement."""
-    key = id(node)
-    hit = _memo.get(key)
-    if hit is not None and hit[0] is node:
-        return hit[1]
+    out = getattr(node, _ATTR, None)
+    if out is not None:
+        return out
 
     if isinstance(node, IntConst):
         out = _blake([b"I", str(node.value).encode()])
@@ -127,7 +125,7 @@ def _digest_node(node) -> bytes:
     else:
         raise TypeError(f"cannot digest IR node {node!r}")
 
-    _memo.put(key, (node, out))
+    object.__setattr__(node, _ATTR, out)   # nodes are frozen dataclasses
     return out
 
 
@@ -143,6 +141,6 @@ def stmts_digest(stmts: Sequence[Stmt]) -> str:
     program name, declarations, or parameters, which transformation
     search never changes.  Shared subtrees (the rule, not the
     exception, for transformed variants of one program) are digested
-    once and memoized by identity.
+    once: each node keeps its digest.
     """
     return _blake([b"S"] + [_digest_node(s) for s in stmts]).hex()

@@ -35,70 +35,33 @@ Over the wire::
 
     with ReproClient("http://127.0.0.1:8080") as client:
         print(client.predict(saxpy_text, bindings={"n": 100}).cycles)
+
+Every name below is imported on first use (PEP 562): a backend never
+loads the client, the router or ``asyncio``, and the router never
+loads the engine unless every backend is down.
 """
 
-from .cache import CacheStats, Eviction, ResultCache, endpoint_of
-from .client import (
-    AsyncReproClient,
-    BadRequestError,
-    RemoteError,
-    ReproClient,
-    ReproClientError,
-    ServerError,
-    TransportError,
-)
-from .engine import PredictionEngine, ServiceError
-from .jobs import (
-    JOBS_PREFIX,
-    JobManager,
-    TERMINAL_STATUSES,
-    job_affinity_key,
-    parse_job_path,
-)
-from .jobstore import CHECKPOINT_VERSION, JobStore, valid_job_id
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .protocol import (
-    CompareRequest,
-    CompareResponse,
-    ErrorResponse,
-    JobStatusResponse,
-    KernelRow,
-    KernelsRequest,
-    KernelsResponse,
-    PredictRequest,
-    PredictResponse,
-    ProtocolError,
-    RestructureJobRequest,
-    RestructureRequest,
-    RestructureResponse,
-    SweepPointRow,
-    SweepRequest,
-    SweepResponse,
-    error_envelope,
-    request_from_dict,
-    response_from_dict,
-    response_to_dict,
-)
-from .router import ShardRouter, make_router, run_router
-from .server import PredictionServer, make_server, run_server
-from .shard import HashRing
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncReproClient", "BadRequestError", "CacheStats",
-    "CHECKPOINT_VERSION", "CompareRequest",
-    "CompareResponse", "Counter", "ErrorResponse", "Eviction", "Gauge",
-    "HashRing", "Histogram", "JOBS_PREFIX", "JobManager", "JobStore",
-    "JobStatusResponse", "KernelRow", "KernelsRequest",
-    "KernelsResponse", "MetricsRegistry", "PredictRequest",
-    "PredictResponse", "PredictionEngine", "PredictionServer",
-    "ProtocolError", "RemoteError", "ReproClient", "ReproClientError",
-    "RestructureJobRequest", "RestructureRequest", "RestructureResponse",
-    "ResultCache", "ServerError", "ServiceError", "ShardRouter",
-    "SweepPointRow", "SweepRequest", "SweepResponse",
-    "TERMINAL_STATUSES", "TransportError",
-    "endpoint_of", "error_envelope",
-    "job_affinity_key", "make_router",
-    "make_server", "parse_job_path", "request_from_dict",
-    "response_from_dict", "response_to_dict", "run_router", "run_server",
-    "valid_job_id",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    ".cache": ("CacheStats", "Eviction", "ResultCache", "endpoint_of"),
+    ".client": ("AsyncReproClient", "BadRequestError", "RemoteError",
+                "ReproClient", "ReproClientError", "ServerError",
+                "TransportError"),
+    ".engine": ("PredictionEngine", "ServiceError"),
+    ".jobs": ("JobManager", "TERMINAL_STATUSES"),
+    ".jobstore": ("CHECKPOINT_VERSION", "JOBS_PREFIX", "JobStore",
+                  "job_affinity_key", "parse_job_path", "valid_job_id"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".protocol": ("CompareRequest", "CompareResponse", "ErrorResponse",
+                  "JobStatusResponse", "KernelRow", "KernelsRequest",
+                  "KernelsResponse", "PredictRequest", "PredictResponse",
+                  "ProtocolError", "RestructureJobRequest",
+                  "RestructureRequest", "RestructureResponse",
+                  "SweepPointRow", "SweepRequest", "SweepResponse",
+                  "error_envelope", "request_from_dict",
+                  "response_from_dict", "response_to_dict"),
+    ".router": ("ShardRouter", "make_router", "run_router"),
+    ".server": ("PredictionServer", "make_server", "run_server"),
+    ".shard": ("HashRing",),
+})

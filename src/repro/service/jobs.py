@@ -49,7 +49,13 @@ from .engine import (
     _machine_fingerprint,
     _parse_sources,
 )
-from .jobstore import JobStore, valid_job_id
+from .jobstore import (   # the job-path helpers are re-exported
+    JOBS_PREFIX,
+    JobStore,
+    job_affinity_key,
+    parse_job_path,
+    valid_job_id,
+)
 from .metrics import MetricsRegistry
 from .protocol import error_envelope, request_from_dict
 
@@ -62,31 +68,12 @@ log = logging.getLogger("repro.service.jobs")
 
 TERMINAL_STATUSES = frozenset({"done", "error", "cancelled"})
 
-#: URL prefix shared by the server's job routes and the router's
-#: affinity forwarding.
-JOBS_PREFIX = "/restructure/jobs"
-
 #: Record fields exposed on the wire (everything else -- request
 #: payload, timestamps, cancel flag -- is subsystem-internal).
 _PUBLIC_FIELDS = (
     "job_id", "status", "digest", "machine", "rounds", "priority",
     "adopted", "owner", "best_sequence", "best_cost", "result", "error",
 )
-
-
-def job_affinity_key(job_id: str) -> str:
-    """The ring key embedded in a job id (its program-digest prefix)."""
-    return job_id.partition(".")[0]
-
-
-def parse_job_path(path: str) -> tuple[str, bool] | None:
-    """``/restructure/jobs/<id>[/events]`` -> ``(id, is_events)``."""
-    if not path.startswith(JOBS_PREFIX + "/"):
-        return None
-    rest = path[len(JOBS_PREFIX) + 1:]
-    if rest.endswith("/events"):
-        return rest[: -len("/events")], True
-    return rest, False
 
 
 def public_view(record: Mapping[str, Any]) -> dict[str, Any]:

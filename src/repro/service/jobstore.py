@@ -38,7 +38,8 @@ import re
 import threading
 from typing import Any
 
-__all__ = ["CHECKPOINT_VERSION", "JobStore", "valid_job_id"]
+__all__ = ["CHECKPOINT_VERSION", "JOBS_PREFIX", "JobStore", "job_affinity_key",
+           "parse_job_path", "valid_job_id"]
 
 #: Bump when the checkpoint payload's shape changes; a loader that sees
 #: another version ignores the checkpoint (the job restarts from round
@@ -48,9 +49,29 @@ CHECKPOINT_VERSION = 1
 _JOB_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 
 
+#: URL prefix shared by the server's job routes and the router's
+#: affinity forwarding.
+JOBS_PREFIX = "/restructure/jobs"
+
+
 def valid_job_id(job_id: str) -> bool:
     """Ids are path components; reject anything that could traverse."""
     return bool(isinstance(job_id, str) and _JOB_ID.match(job_id))
+
+
+def job_affinity_key(job_id: str) -> str:
+    """The ring key embedded in a job id (its program-digest prefix)."""
+    return job_id.partition(".")[0]
+
+
+def parse_job_path(path: str) -> tuple[str, bool] | None:
+    """``/restructure/jobs/<id>[/events]`` -> ``(id, is_events)``."""
+    if not path.startswith(JOBS_PREFIX + "/"):
+        return None
+    rest = path[len(JOBS_PREFIX) + 1:]
+    if rest.endswith("/events"):
+        return rest[: -len("/events")], True
+    return rest, False
 
 
 class JobStore:

@@ -59,8 +59,8 @@ from ..obs import (
     trace_span,
 )
 from .engine import PredictionEngine
-from .jobs import JOBS_PREFIX as _JOBS_PREFIX
-from .jobs import parse_job_path
+from .jobstore import JOBS_PREFIX as _JOBS_PREFIX
+from .jobstore import parse_job_path
 from .protocol import error_envelope
 
 __all__ = ["PredictionServer", "make_server", "run_server"]

@@ -128,6 +128,158 @@ def test_node_digest_memo_survives_shared_subtrees():
 
     loop = parse_program(BASE).body[0]
     first = node_digest(loop)
-    assert node_digest(loop) == first            # id-memo hit
+    assert node_digest(loop) == first            # kept on the node
     other = parse_program(EXTRA_STATEMENT).body[0]
     assert node_digest(other) != first
+
+
+# ----------------------------------------------------------------------
+# digests kept on the nodes
+
+#: Digests recorded while an id-keyed memo still held them, so keeping
+#: each digest on its node changed no value.
+KERNEL_DIGESTS = {
+    "f1": "5a33671bad3223075a4885fd06282827",
+    "f2": "a272d198564f589a7731baad510159c8",
+    "f3": "7bf4cc8bf2e5bc971372f91ec9f8ef4b",
+    "f4": "f0a59be3499a169499c3994f91b2c443",
+    "f5": "3b2bb1130c32f4c188f419323f53e889",
+    "f6": "2942bed1868cd126c39e12ecec2bd7f7",
+    "f7": "0e45ab0cb9caa66ead5143f519ddd0cd",
+    "matmul": "38bccb83b66b072cd6f3cea586a84b92",
+    "jacobi": "6102d8041772feb3c2fda95996cc90ba",
+    "rb": "90121d8104d566e8224141d8681f91be",
+}
+
+#: SHA-256 over the ordered digests of every depth-1 and depth-2
+#: candidate of the seed-0 random loops with 3-6 statements.
+CANDIDATES_SHA256 = (
+    "a405587015b60bb2fb2e1076e525eab5433f6b03cb22845403833fdc96dbd3cb")
+
+#: Every node kind: a stepped loop, If/else, logical and relational
+#: operators, unary minus and .not., a real constant, an intrinsic call,
+#: a power, and a subroutine call.
+ALL_KINDS = """
+program allkinds
+  integer n, i, k
+  real x(n), y(n), s
+  do i = 1, n, 2
+    if (x(i) .gt. 0.5 .and. .not. (y(i) .lt. -1.25)) then
+      y(i) = sqrt(x(i)) ** 2 - s
+    else
+      k = -i
+    end if
+  end do
+  call update(x, n)
+end
+"""
+
+
+def test_digests_match_recorded_values():
+    import hashlib
+
+    from repro.bench import kernel, kernel_names
+    from repro.bench.workloads import random_block_program
+    from repro.ir import node_digest, stmts_digest
+    from repro.service.engine import _restructure_transformations
+
+    assert {name: stmts_digest(kernel(name).program.body)
+            for name in kernel_names()} == KERNEL_DIGESTS
+
+    body = parse_program(ALL_KINDS).body
+    assert stmts_digest(body) == "994d4192e0c63fcb15ad4d65743e4a38"
+    assert [node_digest(s) for s in body] == [
+        "b75e608ea4a2d20ee5b7b1e066e5e9ef",
+        "7313552baa0212227bdcd2591d1c49d2"]
+
+    digests = []
+    for size in (3, 4, 5, 6):
+        level = [random_block_program(size, seed=0)]
+        for _ in range(2):
+            children = []
+            for prog in level:
+                for transformation in _restructure_transformations():
+                    for site in transformation.sites(prog):
+                        candidate = transformation.apply(prog, site)
+                        digests.append(stmts_digest(candidate.body))
+                        children.append(candidate)
+            level = children
+    assert len(digests) == 48
+    assert (hashlib.sha256("\n".join(digests).encode()).hexdigest()
+            == CANDIDATES_SHA256)
+
+
+def test_search_candidates_die_with_the_search():
+    """Nothing outlives the search to pin the candidates it digested."""
+    import gc
+    import weakref
+
+    from repro.aggregate import CostAggregator
+    from repro.ir import SymbolTable
+    from repro.machine import power_machine
+    from repro.transform import IncrementalPredictor, Unroll, astar_search
+
+    refs = []
+
+    class RecordingUnroll(Unroll):
+        def apply(self, program, site):
+            candidate = super().apply(program, site)
+            refs.extend(weakref.ref(stmt) for stmt in candidate.body)
+            return candidate
+
+    program = parse_program(EXTRA_STATEMENT)
+    predictor = IncrementalPredictor(
+        CostAggregator(power_machine(), SymbolTable.from_program(program)))
+    result = astar_search(program, [RecordingUnroll(factors=(2, 4))],
+                          predictor, workload={"n": 256}, max_depth=2,
+                          max_nodes=8)
+    assert result.sequence and refs
+    del result, predictor
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_pickled_program_digests_identically():
+    import pickle
+
+    from repro.ir import stmts_digest
+
+    program = parse_program(EXTRA_STATEMENT)
+    digest = stmts_digest(program.body)
+    restored = pickle.loads(pickle.dumps(program))
+    assert restored == program
+    assert stmts_digest(restored.body) == digest
+    fresh = pickle.loads(pickle.dumps(parse_program(EXTRA_STATEMENT)))
+    assert stmts_digest(fresh.body) == digest
+
+
+def test_threads_digesting_one_fresh_tree_agree():
+    """Threads racing to set one node's digest all read one value."""
+    import sys
+    import threading
+
+    from repro.bench import kernel
+    from repro.ir import stmts_digest
+
+    source = kernel("matmul").source
+    expected = stmts_digest(parse_program(source).body)
+    body = parse_program(source).body
+    start = threading.Barrier(8)
+    seen = []
+
+    def digest():
+        start.wait(timeout=30)
+        seen.append(stmts_digest(body))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=digest) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 8

@@ -391,7 +391,7 @@ def test_memo_gauges_cover_the_engine_caches(engine):
     entries = {dict(sample.labels)["cache"]: sample.value
                for sample in families["repro_memo_entries"].samples}
     assert {"result", "trace", "placement", "compiled_ops", "family_member",
-            "sweep_symbolic", "stmt_digest", "predictor"} <= set(entries)
+            "sweep_symbolic", "predictor"} <= set(entries)
     assert entries["result"] >= 3
     for family in ("repro_memo_hits_total", "repro_memo_misses_total",
                    "repro_memo_evictions_total"):
